@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -219,3 +220,42 @@ def test_float_flag_adds_decimals(tmp_path):
     doc = json.loads(out.read_text())
     met_cell = doc["cells"][0]
     assert "time_float" in met_cell
+
+
+# SHA-256 of the planar route dumps and of the default-seed verdict
+# reports of the shipped scenarios; any change to route rendering, the
+# schedules or the sweep moves one of these.
+PLANAR_ROUTE_SHA256 = {
+    ("lshape", 0): "831e5d08a071640b34b879558724ce9eb72cb57d36dca43df74d9d6c1d65fe1c",
+    ("lshape", 1): "426f65cf7e09de83202b3265002788334ea6808fdb9be86cbf860320dfcf9202",
+    ("hole", 0): "0bc80ee650224a818a1ed32c71ee8dd83d209d549763dbd6549ecd84f0627db4",
+    ("hole", 1): "b95abea75deaa89ceb8f2529fd5c339aa5e52b07f801254678f66576d31ed889",
+    ("approx", 0): "f6f4d183ecc4f36360b9c16b92f472863081d44325b71c1c978cd6a55e3bc1c0",
+    ("approx", 1): "e041a8cfc047ee8d6f775d7716bacb3bd4af05fe183977bbaf60ce50c2b2aa32",
+    ("square", 0): "38112af215c8834fd4296658806123daa2947d22bf5054073f18218c6b8719b1",
+    ("square", 1): "969c2a1794fb3eef1e4bc8e8e05bb8c806765b52d0549c65b6e77eb729d09653",
+}
+
+VERDICT_SHA256 = {
+    "k2": "e5cc15d6f32656cf37565c23099a1a8fed480189f095a1a7f01047e4463ef7b3",
+    "lshape": "15cf5934a44d569dbbf03410fb6311f4e9dd0c35edc24ece759f51f108b41a82",
+    "hole": "6c5b713f9d13b439f480c4c3ca6f735d9ee9b20e1bd207f6139b27a4ef9430fd",
+    "approx": "480687a8207741fb9513f87748febae445709639471f41dcd75621a1eb009939",
+    "square": "8642dcfc9d0213640371f3665cee2bfa32b1e1556f0ee8f68cc10ec12e8f28b1",
+}
+
+
+@pytest.mark.parametrize("name,agent", sorted(PLANAR_ROUTE_SHA256))
+def test_planar_route_dump_golden(tmp_path, name, agent):
+    out = tmp_path / "route.txt"
+    rc = main(["route", scenario_path(name), "--agent", str(agent), "--out", str(out)])
+    assert rc == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PLANAR_ROUTE_SHA256[(name, agent)]
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_SHA256))
+def test_verdict_report_golden(tmp_path, name):
+    out = tmp_path / "verdict.json"
+    assert main(["run", scenario_path(name), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERDICT_SHA256[name]
