@@ -21,10 +21,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator
 
-from .routes import Route
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ScheduleMismatch(Exception):
@@ -59,23 +56,17 @@ def suite_from_names(names) -> tuple:
     return tuple(row for row in DEFAULT_SUITE if row[0] in wanted)
 
 
-def _step_lengths(route) -> Iterator[Fraction]:
-    if isinstance(route, Route):
-        for step in route.steps():
-            yield step.length
-    else:  # planar: one parameter unit per segment
-        for _ in route.segments:
-            yield _ONE
-
-
 @dataclass
 class WalkSchedule:
     """Piecewise-linear walk on a route.
 
-    ``pieces()`` yields ``(t0, t1, step_index, a0, a1)``: during
-    ``[t0, t1]`` the arc position moves affinely from ``a0`` to ``a1``,
-    staying within step ``step_index``.  Pieces are generated lazily so
-    that long routes cost nothing until simulated.
+    A route is anything with a step count ``length`` and a ``steps()``
+    iterator whose steps carry their arc ``length``: a graph ``Route``,
+    or a planar route viewed over one.  ``pieces()`` yields
+    ``(t0, t1, step_index, a0, a1)``: during ``[t0, t1]`` the arc position
+    moves affinely from ``a0`` to ``a1``, staying within step
+    ``step_index``.  Pieces are generated lazily so that long routes cost
+    nothing until simulated.
     """
 
     route: object
@@ -91,7 +82,8 @@ class WalkSchedule:
             hold = Fraction(rng.randint(1, 8))
             yield (t, hold, 0, arc, arc)
             t = hold
-        for m, length in enumerate(_step_lengths(self.route)):
+        for m, step in enumerate(self.route.steps()):
+            length = step.length
             if strat in ("unit_speed", "frozen_prefix"):
                 yield (t, t + length, m, arc, arc + length)
                 t += length
@@ -166,42 +158,63 @@ def make_schedule(strategy: str, route, seed: int = 0) -> WalkSchedule:
     return WalkSchedule(route, strategy, seed)
 
 
-def validate_schedule(route, schedule: WalkSchedule) -> None:
-    """Check the walk invariants piece by piece.
+def _checked_pieces(route, schedule: WalkSchedule):
+    """Stream ``(t0, t1, m, a0, a1, step, lo)``: each schedule piece with
+    its route step and that step's start arc ``lo``.
 
-    Raises ScheduleMismatch on non-increasing times, discontinuities,
-    positions leaving the current step's arc interval, or a walk that
-    fails to cover every step.
+    The walk invariants are enforced as the pieces stream, so that a
+    violation surfaces before it can corrupt a verdict: the walk starts
+    at time 0 and position 0, is continuous, time never decreases, the
+    step index never decreases, and the position stays inside the step's
+    arc interval.  A route without steps has one position, its start: a
+    piece on it names step 0, has the arc interval [0, 0] and step None.
     """
-    boundaries = [_ZERO]
-    for length in _step_lengths(route):
-        boundaries.append(boundaries[-1] + length)
-    n_steps = len(boundaries) - 1
+    n_steps = route.length
+    steps = route.steps()
+    step = None
+    cur = -1  # index of `step`
+    lo = hi = _ZERO
     prev_t = prev_a = None
-    started = False
-    covered = -1
     for t0, t1, m, a0, a1 in schedule.pieces():
-        if not started:
+        if prev_t is None:
             if t0 != 0 or a0 != 0:
                 raise ScheduleMismatch("walk must start at time 0, position 0")
-            started = True
         elif t0 != prev_t or a0 != prev_a:
-            raise ScheduleMismatch("discontinuous pieces")
+            raise ScheduleMismatch("discontinuous schedule pieces")
         if t1 < t0 or (t1 == t0 and a1 != a0):
             raise ScheduleMismatch("time must not decrease")
-        if not 0 <= m < n_steps:
+        if not 0 <= m < max(n_steps, 1):
             raise ScheduleMismatch(f"piece names step {m} outside the route")
-        lo, hi = boundaries[m], boundaries[m + 1]
+        if m < cur:
+            raise ScheduleMismatch(f"step index decreases to {m}")
+        while cur < m:
+            step = next(steps, None)
+            lo = hi
+            hi = lo if step is None else lo + step.length
+            cur += 1
         if min(a0, a1) < lo or max(a0, a1) > hi:
-            raise ScheduleMismatch(f"position leaves step {m} interval")
-        if a1 == hi and covered < m:
-            covered = m
+            raise ScheduleMismatch(f"position leaves step {m} arc interval")
         prev_t, prev_a = t1, a1
-    if not started:
-        if n_steps:
+        yield t0, t1, m, a0, a1, step, lo
+
+
+def validate_schedule(route, schedule: WalkSchedule) -> None:
+    """Check the walk invariants of ``_checked_pieces`` over the whole
+    schedule, and that the walk covers every step of the route.
+
+    Raises ScheduleMismatch on the first violation.
+    """
+    covered = -1
+    a1 = hi = None
+    for _, _, m, _, a1, step, lo in _checked_pieces(route, schedule):
+        hi = lo if step is None else lo + step.length
+        if step is not None and a1 == hi:
+            covered = m
+    if a1 is None:
+        if route.length:
             raise ScheduleMismatch("empty schedule for a non-empty route")
         return
-    if covered != n_steps - 1 or prev_a != boundaries[-1]:
+    if covered != route.length - 1 or a1 != hi:
         raise ScheduleMismatch("walk does not cover the whole route")
 
 
@@ -266,43 +279,12 @@ class _GraphPiece:
         return None
 
 
-def _checked_pieces(route, schedule: WalkSchedule):
-    """Stream schedule pieces, enforcing the walk invariants lazily so
-    that violations surface before they can corrupt a verdict."""
-    prev_t = prev_a = None
-    n_steps = len(route) if isinstance(route, Route) else len(route.segments)
-    for piece in schedule.pieces():
-        t0, t1, m, a0, a1 = piece
-        if prev_t is None:
-            if t0 != 0 or a0 != 0:
-                raise ScheduleMismatch("walk must start at time 0, position 0")
-        elif t0 != prev_t or a0 != prev_a:
-            raise ScheduleMismatch("discontinuous schedule pieces")
-        if t1 < t0 or (t1 == t0 and a1 != a0):
-            raise ScheduleMismatch("time must not decrease")
-        if not 0 <= m < max(n_steps, 1):
-            raise ScheduleMismatch(f"piece names step {m} outside the route")
-        prev_t, prev_a = t1, a1
-        yield piece
-
-
-def _graph_pieces(route: Route, schedule: WalkSchedule, canon: dict):
-    steps: list = []
-    step_iter = route.steps()
-    boundaries = [_ZERO]
-
-    def step(m: int):
-        while len(steps) <= m:
-            steps.append(next(step_iter))
-            boundaries.append(boundaries[-1] + steps[-1].length)
-        return steps[m]
-
-    for t0, t1, m, a0, a1 in _checked_pieces(route, schedule):
-        tr = step(m)
-        lo = boundaries[m]
+def _graph_pieces(route, schedule: WalkSchedule, canon: dict):
+    for t0, t1, m, a0, a1, tr, lo in _checked_pieces(route, schedule):
+        if tr is None:  # parked at the start of an empty route
+            yield _GraphPiece(t0, t1, _ZERO, _ZERO, _ZERO, None, route.start, route.start)
+            continue
         length = tr.length
-        if min(a0, a1) < lo or max(a0, a1) > lo + length:
-            raise ScheduleMismatch(f"position leaves step {m} arc interval")
         fwd = canon.setdefault(tr.edge_id, (tr.u, tr.out_port))
         if (tr.u, tr.out_port) == fwd:
             o0, o1 = a0 - lo, a1 - lo
@@ -374,9 +356,7 @@ def _sweep(pieces1, pieces2, cell_fn):
     return None
 
 
-def detect_meeting_graph(
-    g, r1: Route, r2: Route, w1: WalkSchedule, w2: WalkSchedule
-) -> MeetingVerdict:
+def detect_meeting_graph(g, r1, r2, w1: WalkSchedule, w2: WalkSchedule) -> MeetingVerdict:
     """Earliest exact meeting of two scheduled walks on a graph.
 
     Agents meet when they occupy the same node or the same point inside
@@ -415,15 +395,13 @@ class _PlanarPiece:
 
 
 def _planar_pieces(route, schedule: WalkSchedule):
-    segs = route.segments
-    for t0, t1, m, a0, a1 in _checked_pieces(route, schedule):
-        seg = segs[m]
-        sx, sy = seg.start
-        ex, ey = seg.end
-        tau0 = a0 - m
-        tau1 = a1 - m
-        if min(tau0, tau1) < 0 or max(tau0, tau1) > 1:
-            raise ScheduleMismatch(f"position leaves segment {m} interval")
+    for t0, t1, m, a0, a1, step, lo in _checked_pieces(route, schedule):
+        if step is None:  # parked at the start of an empty route
+            yield _PlanarPiece(t0, t1, *route.start, _ZERO, _ZERO)
+            continue
+        (sx, sy), (ex, ey), _ = route.embed(step)
+        tau0 = (a0 - lo) / step.length
+        tau1 = (a1 - lo) / step.length
         x0 = sx + tau0 * (ex - sx)
         y0 = sy + tau0 * (ey - sy)
         if t1 == t0:
@@ -487,7 +465,7 @@ def _track_min(holder, value):
 # Positions for independent cross-checks
 # ---------------------------------------------------------------------------
 
-def graph_point_at(route: Route, arc: Fraction):
+def graph_point_at(route, arc: Fraction):
     """Canonical geometric point at a given arc position on a graph route.
 
     Self-contained representation (no shared orientation table): a node
@@ -512,12 +490,12 @@ def graph_point_at(route: Route, arc: Fraction):
 
 
 def planar_point_at(route, arc: Fraction):
-    """Exact planar point at a given parameter position."""
+    """Exact planar point at a given arc position (terrain steps have
+    length 1, so step m spans the arc interval [m, m + 1])."""
     m = int(arc)
-    segs = route.segments
-    if m >= len(segs):
-        return segs[-1].end if segs else route.start
-    seg = segs[m]
+    if m >= route.length:
+        return route.end
+    seg = route.embed(route.step_at(m))
     tau = arc - m
     return (
         seg.start[0] + tau * (seg.end[0] - seg.start[0]),
@@ -536,7 +514,7 @@ def verify_rendezvous(world, r1, r2, suite=DEFAULT_SUITE, seeds=(0,)) -> dict:
     planar routes.  Results are independent of evaluation order; the
     report is reproducible from the seeds.
     """
-    planar = not isinstance(r1, Route)
+    planar = hasattr(r1, "embed")
     cells = []
     all_met = True
     for name, strat1, strat2 in suite:

@@ -26,7 +26,6 @@ from .adversary import (
 )
 from .enumeration import ENUM_VERSION, Quadruple, phi, rational_pair
 from .geometry import (
-    PlanarRoute,
     StartNotInterior,
     approx_rendezvous,
     geometric_rv,
@@ -41,7 +40,7 @@ from .graph_model import (
     parse_rational,
 )
 from .rendezvous import Limits, graph_rv, tunnel_check
-from .routes import StepBudgetExceeded, dump_route, parse_route_dump
+from .routes import StepBudgetExceeded, dump_lines, dump_route, parse_route_dump
 
 SCENARIO_SCHEMA = "scenario-v1"
 VERDICT_SCHEMA = "verdict-v1"
@@ -95,26 +94,16 @@ def _limits(doc: dict, args) -> Limits:
     return Limits(int(cap), int(budget))
 
 
-def _start_for(kind: str, world, agent: dict):
+def _start_for(kind: str, world_doc: dict, agent: dict):
     start = agent.get("start")
     if kind == "terrain":
         x, y = start
         return (parse_rational(x), parse_rational(y))
     if kind == "generator":
         if start is None or start == "origin":
-            return generator_origin(_gen_name(world))
+            return generator_origin(world_doc["name"])
         return tuple(start) if isinstance(start, list) else start
     return start
-
-
-def _gen_name(world) -> str:
-    from .graph_model import InfiniteBinaryTree, InfiniteGrid, InfiniteLine
-
-    return {
-        InfiniteLine: "infinite_line",
-        InfiniteGrid: "infinite_grid",
-        InfiniteBinaryTree: "infinite_binary_tree",
-    }[type(world)]
 
 
 def _frac_str(x: Fraction) -> str:
@@ -202,7 +191,7 @@ def cmd_run(args) -> int:
         adversary.get("strategies", [row[0] for row in DEFAULT_SUITE])
     )
     epsilon = doc.get("epsilon")
-    starts = [_start_for(kind, world, a) for a in agents]
+    starts = [_start_for(kind, doc["world"], a) for a in agents]
     labels = [a["label"] for a in agents]
     if epsilon is not None:
         if kind != "terrain":
@@ -238,32 +227,22 @@ def cmd_route(args) -> int:
     kind, world = _build_world(doc)
     limits = _limits(doc, args)
     agent = doc["agents"][args.agent]
-    start = _start_for(kind, world, agent)
+    start = _start_for(kind, doc["world"], agent)
     if kind == "terrain":
         route = geometric_rv(world, start, agent["label"], limits)
-        text = _dump_planar(route)
+        text = dump_lines(
+            f"start\t{_frac_str(route.start[0])}\t{_frac_str(route.start[1])}",
+            (
+                f"{_frac_str(seg.end[0])}\t{_frac_str(seg.end[1])}\t{seg.kind}"
+                for seg in route.segments()
+            ),
+            route.phase_marks,
+        )
     else:
         route = graph_rv(world, start, agent["label"], limits)
         text = dump_route(route)
     _emit(text, args.out)
     return 0
-
-
-def _dump_planar(route: PlanarRoute) -> str:
-    lines = [f"start\t{_frac_str(route.start[0])}\t{_frac_str(route.start[1])}"]
-    marks = sorted(route.phase_marks, key=lambda t: (t[1], t[0]))
-    mi = 0
-    for idx, seg in enumerate(route.segments):
-        while mi < len(marks) and marks[mi][1] == idx:
-            lines.append(f"# phase {marks[mi][0]}")
-            mi += 1
-        lines.append(
-            f"{_frac_str(seg.end[0])}\t{_frac_str(seg.end[1])}\t{seg.kind}"
-        )
-    while mi < len(marks):
-        lines.append(f"# phase {marks[mi][0]}")
-        mi += 1
-    return "\n".join(lines) + "\n"
 
 
 def cmd_tunnel(args) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 ENUM_VERSION = "enum-v1"
@@ -55,16 +55,10 @@ def pair_decode(n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError("pair_decode takes a natural")
     # Largest s with s(s+1)/2 <= n, via integer sqrt.
-    s = (_isqrt(8 * n + 1) - 1) // 2
+    s = (isqrt(8 * n + 1) - 1) // 2
     t = s * (s + 1) // 2
     b = n - t
     return s - b, b
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 # ---------------------------------------------------------------------------

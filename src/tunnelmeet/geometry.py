@@ -13,7 +13,7 @@ pairs, so meeting detection stays in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -335,17 +335,57 @@ class PlanarSegment(NamedTuple):
 
 @dataclass
 class PlanarRoute:
-    start: QPoint
-    segments: list[PlanarSegment] = field(default_factory=list)
-    phase_marks: list[tuple[int, int]] = field(default_factory=list)
+    """A terrain route: the graph rope on the terrain's port graph, seen
+    through the embedding of each step as a planar segment.
+
+    Nothing is stored per segment; ``embed`` renders a step on demand and
+    bounce points come from the graph's arrival cache.  Step count, steps
+    and phase marks are the rope's own (terrain edges have length 1).
+    """
+
+    graph: TerrainGraph
+    route: Route
+
+    @property
+    def start(self) -> QPoint:
+        return self.route.start[1]
 
     @property
     def end(self) -> QPoint:
-        return self.segments[-1].end if self.segments else self.start
+        n = self.length
+        return self.embed(self.route.step_at(n - 1)).end if n else self.start
+
+    @property
+    def length(self) -> int:
+        return self.route.length
+
+    @property
+    def phase_marks(self) -> list[tuple[int, int]]:
+        return self.route.phase_marks
+
+    def steps(self) -> Iterator[EdgeTraversal]:
+        return self.route.steps()
+
+    def step_at(self, i: int) -> EdgeTraversal:
+        return self.route.step_at(i)
+
+    def embed(self, step: EdgeTraversal) -> PlanarSegment:
+        if step.v[0] == "v2":
+            origin = step.u[1]
+            hit = self.graph.arrival(origin, step.out_port)
+            return PlanarSegment(origin, hit.point, "bounce_out")
+        if step.u[0] == "v2":
+            origin = step.v[1]
+            hit = self.graph.arrival(origin, step.in_port)
+            return PlanarSegment(hit.point, origin, "bounce_back")
+        return PlanarSegment(step.u[1], step.v[1], "free")
+
+    def segments(self) -> Iterator[PlanarSegment]:
+        return map(self.embed, self.route.steps())
 
     def points(self) -> Iterator[QPoint]:
         yield self.start
-        for seg in self.segments:
+        for seg in self.segments():
             yield seg.end
 
 
@@ -353,31 +393,12 @@ def geometric_rv(
     t: Terrain, start: QPoint, label: int, limits: Limits
 ) -> PlanarRoute:
     """Terrain rendezvous route: the graph construction run on the
-    terrain's port-labeled view, rendered as planar segments."""
+    terrain's port-labeled view, seen as planar segments."""
     start = (Fraction(start[0]), Fraction(start[1]))
     if not t.is_interior(start):
         raise StartNotInterior(f"{start} is not interior")
     gt = TerrainGraph(t)
-    graph_route = graph_rv(gt, ("v1", start), label, limits)
-    return planar_route_from_graph(gt, graph_route)
-
-
-def planar_route_from_graph(gt: TerrainGraph, graph_route: Route) -> PlanarRoute:
-    segments = []
-    for step in graph_route.steps():
-        if step.u[0] == "v1" and step.v[0] == "v1":
-            segments.append(PlanarSegment(step.u[1], step.v[1], "free"))
-        elif step.v[0] == "v2":
-            origin = step.u[1]
-            hit = gt.arrival(origin, step.out_port)
-            segments.append(PlanarSegment(origin, hit.point, "bounce_out"))
-        else:
-            origin = step.v[1]
-            hit = gt.arrival(origin, step.in_port)
-            segments.append(PlanarSegment(hit.point, origin, "bounce_back"))
-    return PlanarRoute(
-        graph_route.start[1], segments, list(graph_route.phase_marks)
-    )
+    return PlanarRoute(gt, graph_rv(gt, ("v1", start), label, limits))
 
 
 def audit_planar_route(t: Terrain, route: PlanarRoute) -> None:
@@ -407,7 +428,7 @@ def audit_planar_route(t: Terrain, route: PlanarRoute) -> None:
 
     prev = route.start
     pending_bounce = None
-    for seg in route.segments:
+    for seg in route.segments():
         if seg.start != prev:
             raise TerrainError("segments do not chain")
         if pending_bounce is not None:

@@ -159,7 +159,7 @@ def tunnel_check(r1: Route, r2: Route) -> TunnelCertificate | None:
     two's reversed prefix (steps flipped); candidate lengths are verified
     exactly before a certificate is returned.
     """
-    limit = min(len(r1), len(r2))
+    limit = min(r1.length, r2.length)
     if limit == 0:
         return None
     ids: dict = {}

@@ -3,8 +3,8 @@
 A route is a chained sequence of edge traversals starting at a fixed
 node.  The rendezvous recursion concatenates long stretches of its own
 history and of simulated routes over and over, so the step sequence is
-held as a rope (concatenation DAG with reverse and repeat nodes) whose
-subtrees are shared.  Building is O(nodes); only iteration pays for the
+held as a rope (concatenation DAG with reverse nodes) whose subtrees are
+shared.  Building is O(nodes); only iteration pays for the
 materialized length, and the step budget caps that length up front.
 """
 
@@ -108,20 +108,22 @@ class Route:
     _root: object = field(default=_EMPTY, repr=False)
     phase_marks: list[tuple[int, int]] = field(default_factory=list)
 
-    def __len__(self) -> int:
+    @property
+    def length(self) -> int:
+        """Number of steps (an int, exact at any size)."""
         return _node_len(self._root)
 
     def steps(self) -> Iterator[EdgeTraversal]:
         return _iter_node(self._root, False)
 
     def step_at(self, i: int) -> EdgeTraversal:
-        if not 0 <= i < len(self):
+        if not 0 <= i < self.length:
             raise IndexError(i)
         return _step_at_fwd_or_rev(self._root, i, flip=False)
 
     @property
     def end(self) -> NodeHandle:
-        n = len(self)
+        n = self.length
         return self.start if n == 0 else self.step_at(n - 1).v
 
     def node_after(self, i: int) -> NodeHandle:
@@ -132,7 +134,7 @@ class Route:
 
     def prefix(self, n_steps: int) -> "Route":
         """Route consisting of the first ``n_steps`` traversals."""
-        if n_steps > len(self):
+        if n_steps > self.length:
             raise IndexError(n_steps)
         steps = []
         for step in self.steps():
@@ -196,22 +198,32 @@ def _rev(node):
 
 # Text dump -----------------------------------------------------------------
 
-def dump_route(r: Route) -> str:
-    """One traversal per line ``u<TAB>out_port<TAB>v<TAB>in_port`` with
-    ``# phase k`` markers where each phase begins.  The header line names
-    the start node so that empty routes stay parseable."""
-    lines = [f"# start {r.start}"]
-    marks = sorted(r.phase_marks, key=lambda t: (t[1], t[0]))
+def dump_lines(header: str, rows: Iterable[str], phase_marks) -> str:
+    """``header``, then one line per step row, with ``# phase k`` markers
+    where each phase begins."""
+    lines = [header]
+    marks = sorted(phase_marks, key=lambda t: (t[1], t[0]))
     mi = 0
-    for idx, step in enumerate(r.steps()):
+    for idx, row in enumerate(rows):
         while mi < len(marks) and marks[mi][1] == idx:
             lines.append(f"# phase {marks[mi][0]}")
             mi += 1
-        lines.append(f"{step.u}\t{step.out_port}\t{step.v}\t{step.in_port}")
+        lines.append(row)
     while mi < len(marks):
         lines.append(f"# phase {marks[mi][0]}")
         mi += 1
     return "\n".join(lines) + "\n"
+
+
+def dump_route(r: Route) -> str:
+    """One traversal per line ``u<TAB>out_port<TAB>v<TAB>in_port`` with
+    ``# phase k`` markers where each phase begins.  The header line names
+    the start node so that empty routes stay parseable."""
+    return dump_lines(
+        f"# start {r.start}",
+        (f"{s.u}\t{s.out_port}\t{s.v}\t{s.in_port}" for s in r.steps()),
+        r.phase_marks,
+    )
 
 
 def parse_route_dump(text: str, start=None) -> Route:

@@ -1,9 +1,12 @@
 """Shared test worlds and oracles."""
 
 from collections import deque
+from fractions import Fraction
 
-from tunnelmeet.enumeration import Quadruple, phi_index
+from tunnelmeet.enumeration import Quadruple, phi_index, rational_pair_index
+from tunnelmeet.geometry import PlanarRoute, Terrain, TerrainGraph
 from tunnelmeet.graph_model import build_finite_graph, random_connected_graph
+from tunnelmeet.routes import route_from_steps
 
 
 def k2():
@@ -90,3 +93,15 @@ def true_quadruple(g, v, w, i, j):
             best = (k, q)
     assert best is not None, "corpus worlds are connected"
     return best
+
+
+def planar_route(points):
+    """The polyline through ``points`` as a planar route: its steps walk
+    the terrain graph of a square so large that every step stays free."""
+    r = Fraction(1000)
+    gt = TerrainGraph(Terrain(((-r, -r), (r, -r), (r, r), (-r, r))))
+    steps = [
+        gt.traverse(("v1", a), rational_pair_index(b[0] - a[0], b[1] - a[1]))
+        for a, b in zip(points, points[1:])
+    ]
+    return PlanarRoute(gt, route_from_steps(("v1", points[0]), steps))

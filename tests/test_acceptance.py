@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import corpus_worlds, true_quadruple
+from conftest import corpus_worlds, planar_route, true_quadruple
 from tunnelmeet.adversary import (
     DEFAULT_SUITE,
     detect_meeting_graph,
@@ -38,8 +38,6 @@ from tunnelmeet.enumeration import (
     seq_encode,
 )
 from tunnelmeet.geometry import (
-    PlanarRoute,
-    PlanarSegment,
     approx_rendezvous,
     audit_planar_route,
     geometric_rv,
@@ -235,8 +233,8 @@ def test_criterion_5_simulation_mode_prefix(corpus):
         marks = dict(full.phase_marks)
         for p in range(0, min(10, cap) + 1):
             sim = graph_rv_rec(g, start, label, p, False, Limits(cap, STEP_BUDGET))
-            want = marks.get(p + 1, len(full))
-            assert len(sim) == want, (world, start, label, p)
+            want = marks.get(p + 1, full.length)
+            assert sim.length == want, (world, start, label, p)
             assert list(sim.steps()) == list(islice(full.steps(), want))
             checked += 1
     _report(5, True, f"{checked} simulation prefixes match main-mode routes exactly")
@@ -360,8 +358,8 @@ def test_criterion_6_solver_vs_grid_sampler():
 def test_criterion_7_negative_regression_parallel_routes():
     pts1 = [(F(i), F(0)) for i in range(5)]
     pts2 = [(F(i), F(1, 4)) for i in range(5)]
-    r1 = PlanarRoute(pts1[0], [PlanarSegment(a, b, "free") for a, b in zip(pts1, pts1[1:])])
-    r2 = PlanarRoute(pts2[0], [PlanarSegment(a, b, "free") for a, b in zip(pts2, pts2[1:])])
+    r1 = planar_route(pts1)
+    r2 = planar_route(pts2)
     w1 = make_schedule("alternating-first", r1, 0)
     w2 = make_schedule("alternating-second", r2, 0)
     v = detect_meeting_planar(r1, r2, w1, w2)

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import k2, p3, true_quadruple
+from conftest import k2, p3, planar_route, true_quadruple
 from tunnelmeet.adversary import (
     DEFAULT_SUITE,
+    STRATEGIES,
     ScheduleMismatch,
     detect_meeting_graph,
     detect_meeting_planar,
@@ -15,15 +16,9 @@ from tunnelmeet.adversary import (
     validate_schedule,
     verify_rendezvous,
 )
-from tunnelmeet.geometry import PlanarRoute, PlanarSegment
 from tunnelmeet.graph_model import build_finite_graph, random_connected_graph
 from tunnelmeet.rendezvous import Limits, graph_rv
-from tunnelmeet.routes import route_from_steps
-
-
-def make_planar(points, start=None):
-    segs = [PlanarSegment(a, b, "free") for a, b in zip(points, points[1:])]
-    return PlanarRoute(points[0] if start is None else start, segs)
+from tunnelmeet.routes import concat_routes, empty_route, reverse_route, route_from_steps
 
 
 def q(x, y=1):
@@ -156,8 +151,8 @@ def test_empty_suite_is_vacuous():
 
 
 def test_planar_head_on_meets_at_midpoint():
-    r1 = make_planar([(q(0), q(0)), (q(1), q(0))])
-    r2 = make_planar([(q(1), q(0)), (q(0), q(0))])
+    r1 = planar_route([(q(0), q(0)), (q(1), q(0))])
+    r2 = planar_route([(q(1), q(0)), (q(0), q(0))])
     v = detect_meeting_planar(
         r1, r2, make_schedule("unit_speed", r1, 0), make_schedule("unit_speed", r2, 0)
     )
@@ -166,8 +161,8 @@ def test_planar_head_on_meets_at_midpoint():
 
 
 def test_planar_parallel_segments_keep_distance():
-    r1 = make_planar([(q(0), q(0)), (q(1), q(0))])
-    r2 = make_planar([(q(0), q(1, 4)), (q(1), q(1, 4))])
+    r1 = planar_route([(q(0), q(0)), (q(1), q(0))])
+    r2 = planar_route([(q(0), q(1, 4)), (q(1), q(1, 4))])
     v = detect_meeting_planar(
         r1, r2, make_schedule("unit_speed", r1, 0), make_schedule("unit_speed", r2, 0)
     )
@@ -176,8 +171,8 @@ def test_planar_parallel_segments_keep_distance():
 
 
 def test_planar_point_substitution():
-    r1 = make_planar([(q(0), q(0)), (q(1), q(1))])
-    r2 = make_planar([(q(1), q(0)), (q(0), q(1))])
+    r1 = planar_route([(q(0), q(0)), (q(1), q(1))])
+    r2 = planar_route([(q(1), q(0)), (q(0), q(1))])
     w1 = make_schedule("unit_speed", r1, 0)
     w2 = make_schedule("unit_speed", r2, 0)
     v = detect_meeting_planar(r1, r2, w1, w2)
@@ -210,8 +205,8 @@ def test_translated_route_pair_keeps_translation_gap():
     shift = F(1, 100)
     pts = [(q(0), q(0)), (q(1), q(0)), (q(1), q(1))]
     moved = [(x + shift, y) for x, y in pts]
-    r1 = make_planar(pts)
-    r2 = make_planar(moved)
+    r1 = planar_route(pts)
+    r2 = planar_route(moved)
     v = detect_meeting_planar(
         r1, r2, make_schedule("unit_speed", r1, 0), make_schedule("unit_speed", r2, 0)
     )
@@ -224,8 +219,8 @@ def test_negative_regression_parallel_shifted_routes():
     # adversary avoids rendezvous over the whole horizon
     pts1 = [(q(i), q(0)) for i in range(4)]
     pts2 = [(q(i), q(1, 4)) for i in range(4)]
-    r1 = make_planar(pts1)
-    r2 = make_planar(pts2)
+    r1 = planar_route(pts1)
+    r2 = planar_route(pts2)
     w1 = make_schedule("alternating-first", r1, 0)
     w2 = make_schedule("alternating-second", r2, 0)
     v = detect_meeting_planar(r1, r2, w1, w2)
@@ -244,7 +239,7 @@ def test_planar_min_distance_matches_dense_sampling():
                 nxt = (F(rng.randint(0, 8), 4), F(rng.randint(0, 8), 4))
                 if nxt != pts[-1]:
                     pts.append(nxt)
-            return make_planar(pts)
+            return planar_route(pts)
 
         r1, r2 = poly(rng.randint(1, 4)), poly(rng.randint(1, 4))
         s = rng.choice(["unit_speed", "random_speeds", "jitter"])
@@ -274,3 +269,36 @@ def test_report_is_reproducible():
     a = verify_rendezvous(g, r1, r2, seeds=(0, 1, 2))
     b = verify_rendezvous(g, r1, r2, seeds=(0, 1, 2))
     assert a == b
+
+
+def test_validate_accepts_every_schedule_on_an_empty_route():
+    r = empty_route("A")
+    for strategy in STRATEGIES:
+        for seed in range(20):
+            validate_schedule(r, make_schedule(strategy, r, seed))
+
+
+def test_partner_meets_an_agent_parked_on_an_empty_route():
+    # frozen_prefix holds the empty-route agent at its start for at least
+    # one time unit, long enough for the partner to arrive there
+    g = k2()
+    r1 = empty_route("A")
+    r2 = route_from_steps("B", [g.traverse("B", 1)])
+    for seed in range(5):
+        w1 = make_schedule("frozen_prefix", r1, seed)
+        v = detect_meeting_graph(g, r1, r2, w1, make_schedule("unit_speed", r2, seed))
+        assert v.met and v.time == F(1) and v.location == ("node", "A")
+
+
+def test_route_of_two_to_the_64_steps():
+    g = k2()
+    r = route_from_steps("A", [g.traverse("A", 1)])
+    for _ in range(64):
+        r = concat_routes(r, reverse_route(r))
+    assert r.length == 2**64
+    assert r.step_at(2**64 - 1) == g.traverse("B", 1)
+    partner = route_from_steps("B", [g.traverse("B", 1)])
+    v = detect_meeting_graph(
+        g, r, partner, make_schedule("unit_speed", r, 0), make_schedule("unit_speed", partner, 0)
+    )
+    assert v.met and v.time == F(1, 2)

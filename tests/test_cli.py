@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -259,3 +261,20 @@ def test_verdict_report_golden(tmp_path, name):
     out = tmp_path / "verdict.json"
     assert main(["run", scenario_path(name), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERDICT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["k2", "square"])
+def test_run_with_empty_routes_reports_no_meeting(tmp_path, name):
+    # at zero phases both routes are empty: each agent stays at its start
+    out = tmp_path / "verdict.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tunnelmeet.cli", "run", scenario_path(name),
+         "--phase-cap", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "verdict-v1"
+    assert doc["cells"] and all(c["met"] is False for c in doc["cells"])

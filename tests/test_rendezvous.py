@@ -18,7 +18,7 @@ from tunnelmeet.routes import (
 def test_zero_phases_is_empty_route():
     g = k2()
     r = graph_rv_rec(g, "A", 1, 0, False, Limits(10))
-    assert len(r) == 0
+    assert r.length == 0
     assert r.start == "A"
 
 
@@ -40,10 +40,10 @@ def test_short_circuit_walk_appends_prefix_and_backtrack():
     k = phi_index(q)
     r_before = graph_rv(g, "A", 1, Limits(k - 1))
     r_after = graph_rv(g, "A", 1, Limits(k))
-    added = list(islice(r_after.steps(), len(r_before), None))
+    added = list(islice(r_after.steps(), r_before.length, None))
     # port 1 works (A->B), port 2 is not a port at B: prefix length one
     assert [(s.u, s.v) for s in added] == [("A", "B"), ("B", "A")]
-    assert r_after.node_after(len(r_after)) == "A"
+    assert r_after.node_after(r_after.length) == "A"
 
 
 def test_phase_closure_on_small_worlds():
@@ -61,8 +61,8 @@ def test_simulation_mode_is_main_mode_prefix():
     marks = dict(full.phase_marks)
     for p in range(0, 11):
         sim = graph_rv_rec(g, "A", 2, p, False, limits)
-        want = marks.get(p + 1, len(full))
-        assert len(sim) == want
+        want = marks.get(p + 1, full.length)
+        assert sim.length == want
         assert list(sim.steps()) == list(islice(full.steps(), want))
 
 
@@ -134,7 +134,7 @@ def test_theorem_concatenation_forms_the_stated_tunnel():
     )
     cert = tunnel_check(rho, rho_p)
     assert cert is not None
-    assert cert.n == len(rho) - len(q)
+    assert cert.n == rho.length - q.length
     # the constructed pair matches what the algorithm itself emits
     algo = graph_rv(g, "A", 1, Limits(k))
     assert list(algo.steps()) == list(rho.steps())
@@ -182,7 +182,7 @@ def test_tunnel_check_matches_brute_force():
         r1 = walk(g.nodes[rng.randrange(5)], rng.randint(1, 12))
         if trial % 2:
             # plant a tunnel: r2 begins with the reversal of an r1 prefix
-            cut = rng.randint(1, len(r1))
+            cut = rng.randint(1, r1.length)
             planted = reverse_route(r1.prefix(cut))
             r2 = concat_routes(planted, walk(planted.end, rng.randint(0, 6)))
         else:

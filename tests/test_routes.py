@@ -27,7 +27,7 @@ def random_walk_route(g, start, length, rng):
 def test_reverse_empty():
     r = empty_route("A")
     rr = reverse_route(r)
-    assert len(rr) == 0
+    assert rr.length == 0
     assert rr.start == "A"
 
 
@@ -97,7 +97,7 @@ def test_empty_dump_keeps_start():
     assert text.startswith("# start A")
     back = parse_route_dump(text)
     assert back.start == "A"
-    assert len(back) == 0
+    assert back.length == 0
 
 
 def test_prefix():
@@ -106,6 +106,6 @@ def test_prefix():
     r = random_walk_route(g, g.nodes[0], 10, rng)
     r.phase_marks = [(1, 0), (2, 4)]
     p = r.prefix(4)
-    assert len(p) == 4
+    assert p.length == 4
     assert list(p.steps()) == list(r.steps())[:4]
     assert p.phase_marks == [(1, 0), (2, 4)]
