@@ -11,18 +11,25 @@ forth that forces the two routes to form a tunnel for that hypothesis.
 Two routes form a tunnel when a prefix of one, read backward with every
 traversal reversed, is a prefix of the other; a tunnel certificate is a
 sufficient condition for rendezvous under any adversary schedules.
+
+``tunnel_check`` decides that relation exactly as a border problem over
+interned directed steps: the smallest ``n`` for which route one's first
+``n`` steps equal the last ``n`` of route two's reversed window, found by
+Knuth-Morris-Pratt matching in windows of 64, 256, 1024, ... steps.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .enumeration import phase_stream
 from .graph_model import NodeHandle, PortLabeledGraph
 from .routes import (
     Route,
     StepBudgetExceeded,
+    _StepIds,
     _cat,
     _leaf,
     _node_len,
@@ -53,12 +60,7 @@ class TunnelCertificate:
     @property
     def meeting_path(self) -> tuple:
         """The shared prefix (as traversals of route one)."""
-        out = []
-        for step in self._r1.steps():
-            if len(out) == self.n:
-                break
-            out.append(step)
-        return tuple(out)
+        return tuple(islice(self._r1.steps(), self.n))
 
 
 class _Builder:
@@ -102,10 +104,13 @@ class _Builder:
                 sim = self._sim(cur, other, k - 1)
                 root = _cat(root, sim, _rev(walk), _rev(hist), walk, _rev(sim))
             root = _cat(root, _rev(walk))
-            if _node_len(root) > self.limits.step_budget:
+            length = _node_len(root)
+            if length > self.limits.step_budget:
                 raise StepBudgetExceeded(
                     f"route for label {label} exceeds {self.limits.step_budget} "
-                    f"steps at phase {k}"
+                    f"steps at phase {k}",
+                    length,
+                    k,
                 )
         return root, marks
 
@@ -118,75 +123,78 @@ class _Builder:
         return cached
 
 
-def graph_rv_rec(
+def graph_rv(
     g: PortLabeledGraph,
     v: NodeHandle,
     label: int,
-    p: int,
-    mode: bool,
     limits: Limits,
+    phases: int | None = None,
 ) -> Route:
-    """Route of the recursion's first phases.
+    """Route of the recursion's first ``phases`` phases, capped by
+    ``limits.phase_cap``.
 
-    In main mode the phase count is ``limits.phase_cap`` (standing in for
-    the algorithm's open-ended run); in simulation mode it is ``p``.  The
-    simulation-mode result equals the corresponding prefix of the main-
-    mode route for the same start and label.
+    With ``phases`` left out the count is ``limits.phase_cap`` (standing in
+    for the algorithm's open-ended run).  A smaller count gives the route
+    the agent simulates for its partner, which equals the corresponding
+    prefix of the full route for the same start and label.
     """
     if label < 1:
         raise ValueError("labels are positive integers")
-    cap = limits.phase_cap if mode else min(p, limits.phase_cap)
+    cap = limits.phase_cap if phases is None else min(phases, limits.phase_cap)
     builder = _Builder(g, limits)
     root, marks = builder.build(v, label, cap, record_marks=True)
     return Route(v, root, marks)
 
 
-def graph_rv(g: PortLabeledGraph, v: NodeHandle, label: int, limits: Limits) -> Route:
-    """Main-mode route construction (phase cap taken from ``limits``)."""
-    return graph_rv_rec(g, v, label, 0, True, limits)
-
-
-_HASH_MOD_A = (1 << 61) - 1
-_HASH_MOD_B = (1 << 31) - 1
-_HASH_BASE_A = 1_000_003
-_HASH_BASE_B = 40_009
+#: the scan reads windows of this many steps, then four times as many, ...
+_FIRST_WINDOW = 64
 
 
 def tunnel_check(r1: Route, r2: Route) -> TunnelCertificate | None:
     """Smallest-``n`` tunnel certificate for two routes, if any.
 
-    The scan keeps rolling hashes of route one's prefix and of route
-    two's reversed prefix (steps flipped); candidate lengths are verified
-    exactly before a certificate is returned.
+    Let ``x`` hold the ids of route one's directed steps ``(u, out_port)``
+    and ``z`` those of route two's steps reversed, ``(v, in_port)``.  For a
+    window of ``m`` steps let ``w = z[m-1], ..., z[0]``.  A tunnel of
+    length ``n <= m`` is ``x[:n] == w[m-n:]``: a border between a prefix
+    of ``x`` and a suffix of ``w``.  Knuth-Morris-Pratt matching of ``w``
+    against ``x`` ends on the longest such ``n``, and the prefix function
+    chain below it holds every other, the last nonzero one being the
+    smallest.  The scan is exact: no hashing, no verification step.
+
+    The scan reads windows of 64, 256, 1024, ... steps, the last one
+    ``min(r1.length, r2.length)``, and stops at the first window that holds
+    a tunnel, so short tunnels stay cheap.  The prefix function only grows
+    with the window, so reading ``L`` steps costs about ``2.3 L`` loop
+    iterations.  Both routes are read off the rope (``_StepIds``), one
+    Python step per DAG node and leaf step.
     """
     limit = min(r1.length, r2.length)
-    if limit == 0:
-        return None
     ids: dict = {}
-    x_ids = array("i")
-    z_ids = array("i")
-    it1 = r1.steps()
-    it2 = r2.steps()
-    hx_a = hx_b = 0
-    rz_a = rz_b = 0
-    pow_a = pow_b = 1
-    for n in range(1, limit + 1):
-        s1 = next(it1)
-        s2 = next(it2)
-        # a directed step is determined by (node, out port)
-        k1 = (s1.u, s1.out_port)
-        k2 = (s2.v, s2.in_port)  # the reversal of step s2
-        i1 = ids.setdefault(k1, len(ids))
-        i2 = ids.setdefault(k2, len(ids))
-        x_ids.append(i1)
-        z_ids.append(i2)
-        hx_a = (hx_a * _HASH_BASE_A + i1 + 1) % _HASH_MOD_A
-        hx_b = (hx_b * _HASH_BASE_B + i1 + 1) % _HASH_MOD_B
-        rz_a = (rz_a + (i2 + 1) * pow_a) % _HASH_MOD_A
-        rz_b = (rz_b + (i2 + 1) * pow_b) % _HASH_MOD_B
-        pow_a = (pow_a * _HASH_BASE_A) % _HASH_MOD_A
-        pow_b = (pow_b * _HASH_BASE_B) % _HASH_MOD_B
-        if hx_a == rz_a and hx_b == rz_b:
-            if x_ids[:n] == z_ids[n - 1 :: -1]:
-                return TunnelCertificate(n, r1)
+    one, two = _StepIds(r1, ids), _StepIds(r2, ids)
+    x, z = one.outs, two.ins
+    pi = array("i", [0])  # pi[i]: longest proper border of x[:i+1]
+    m = 0
+    while m < limit:
+        m = min(4 * m or _FIRST_WINDOW, limit)
+        one.fill(m)
+        two.fill(m)
+        for i in range(len(pi), m):
+            c = x[i]
+            k = pi[i - 1]
+            while k and x[k] != c:
+                k = pi[k - 1]
+            if x[k] == c:
+                k += 1
+            pi.append(k)
+        n = 0
+        for c in z[m - 1 :: -1]:
+            while n and x[n] != c:
+                n = pi[n - 1]
+            if x[n] == c:
+                n += 1
+        while n and pi[n - 1]:
+            n = pi[n - 1]
+        if n:
+            return TunnelCertificate(n, r1)
     return None

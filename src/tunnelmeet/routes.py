@@ -10,14 +10,24 @@ materialized length, and the step budget caps that length up front.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .graph_model import EdgeTraversal, NodeHandle
 
 
 class StepBudgetExceeded(Exception):
-    """Route construction would exceed the configured traversal budget."""
+    """Route construction would exceed the configured traversal budget.
+
+    ``length`` is the exact step count the route would have reached, and
+    ``phase`` the phase at which it crossed the budget."""
+
+    def __init__(self, message: str, length: int, phase: int):
+        super().__init__(message)
+        self.length = length
+        self.phase = phase
 
 
 class _Leaf:
@@ -136,13 +146,8 @@ class Route:
         """Route consisting of the first ``n_steps`` traversals."""
         if n_steps > self.length:
             raise IndexError(n_steps)
-        steps = []
-        for step in self.steps():
-            if len(steps) == n_steps:
-                break
-            steps.append(step)
         marks = [(k, s) for k, s in self.phase_marks if s <= n_steps]
-        return Route(self.start, _Leaf(tuple(steps)), marks)
+        return Route(self.start, _Leaf(tuple(islice(self.steps(), n_steps))), marks)
 
 
 def empty_route(start: NodeHandle) -> Route:
@@ -194,6 +199,54 @@ def _rev(node):
     if _node_len(node) == 0:
         return _EMPTY
     return _Rev(node)
+
+
+class _StepIds:
+    """A route's directed steps as interned ints, read off the rope.
+
+    ``outs[i]`` is the id of step i's ``(u, out_port)`` and ``ins[i]`` the
+    id of its ``(v, in_port)``, which is the directed step of its reversal.
+    The arrays grow on demand by ``fill``.  Each rope node is expanded once:
+    a node met again is copied from where it was first written, reversed
+    with ``outs`` and ``ins`` swapped when it was first written in the
+    other orientation.  Python work is O(DAG nodes) plus the leaves' steps;
+    the rest is slice copying.
+    """
+
+    def __init__(self, route: Route, ids: dict):
+        self.outs = array("i")
+        self.ins = array("i")
+        self._ids = ids
+        self._first: dict = {}  # node -> (offset, reversed) of its first copy
+        self._stack = [(route._root, False)]
+
+    def fill(self, n: int) -> None:
+        """Extend the arrays to at least ``n`` steps, or to the route's end."""
+        outs, ins, ids, first, stack = self.outs, self.ins, self._ids, self._first, self._stack
+        while len(outs) < n and stack:
+            node, rev = stack.pop()
+            seen = first.get(node)
+            if seen is not None:
+                at, was_rev = seen
+                end = at + _node_len(node)
+                o, i = outs[at:end], ins[at:end]
+                flip = rev != was_rev
+            else:
+                first[node] = (len(outs), rev)
+                if isinstance(node, _Rev):
+                    stack.append((node.kid, not rev))
+                    continue
+                if isinstance(node, _Cat):
+                    kids = node.kids if rev else reversed(node.kids)
+                    stack.extend((kid, rev) for kid in kids)
+                    continue
+                o = [ids.setdefault((s.u, s.out_port), len(ids)) for s in node.steps]
+                i = [ids.setdefault((s.v, s.in_port), len(ids)) for s in node.steps]
+                flip = rev
+            if flip:
+                o, i = i[::-1], o[::-1]
+            outs.extend(o)
+            ins.extend(i)
 
 
 # Text dump -----------------------------------------------------------------

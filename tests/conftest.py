@@ -53,6 +53,17 @@ def corpus_worlds():
     return worlds
 
 
+def random_walk_route(g, start, length, rng):
+    steps = []
+    node = start
+    for _ in range(length):
+        port = rng.choice(g.ports(node))
+        step = g.traverse(node, port)
+        steps.append(step)
+        node = step.v
+    return route_from_steps(start, steps)
+
+
 def all_shortest_paths(g, v, w):
     """Every shortest path v -> w as a list of traversals (BFS oracle)."""
     dist = {v: 0}

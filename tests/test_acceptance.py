@@ -44,7 +44,7 @@ from tunnelmeet.geometry import (
     terrain_from_json,
 )
 from tunnelmeet.graph_model import random_connected_graph
-from tunnelmeet.rendezvous import Limits, graph_rv, graph_rv_rec, tunnel_check
+from tunnelmeet.rendezvous import Limits, graph_rv, tunnel_check
 from tunnelmeet.routes import StepBudgetExceeded, route_from_steps
 
 STEP_BUDGET = 10**7
@@ -232,7 +232,7 @@ def test_criterion_5_simulation_mode_prefix(corpus):
     for (world, start, label), (g, full, cap) in built.items():
         marks = dict(full.phase_marks)
         for p in range(0, min(10, cap) + 1):
-            sim = graph_rv_rec(g, start, label, p, False, Limits(cap, STEP_BUDGET))
+            sim = graph_rv(g, start, label, Limits(cap, STEP_BUDGET), phases=p)
             want = marks.get(p + 1, full.length)
             assert sim.length == want, (world, start, label, p)
             assert list(sim.steps()) == list(islice(full.steps(), want))

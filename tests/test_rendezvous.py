@@ -1,12 +1,13 @@
 import itertools
+import random
 from itertools import islice
 
 import pytest
 
-from conftest import c4, k2, p3, true_quadruple
+from conftest import c4, k2, p3, random_walk_route, true_quadruple
 from tunnelmeet.enumeration import Quadruple, phi, phi_index
 from tunnelmeet.graph_model import generator, random_connected_graph
-from tunnelmeet.rendezvous import Limits, graph_rv, graph_rv_rec, tunnel_check
+from tunnelmeet.rendezvous import Limits, graph_rv, tunnel_check
 from tunnelmeet.routes import (
     StepBudgetExceeded,
     concat_routes,
@@ -17,7 +18,7 @@ from tunnelmeet.routes import (
 
 def test_zero_phases_is_empty_route():
     g = k2()
-    r = graph_rv_rec(g, "A", 1, 0, False, Limits(10))
+    r = graph_rv(g, "A", 1, Limits(10), phases=0)
     assert r.length == 0
     assert r.start == "A"
 
@@ -60,7 +61,7 @@ def test_simulation_mode_is_main_mode_prefix():
     full = graph_rv(g, "A", 2, limits)
     marks = dict(full.phase_marks)
     for p in range(0, 11):
-        sim = graph_rv_rec(g, "A", 2, p, False, limits)
+        sim = graph_rv(g, "A", 2, limits, phases=p)
         want = marks.get(p + 1, full.length)
         assert sim.length == want
         assert list(sim.steps()) == list(islice(full.steps(), want))
@@ -160,24 +161,29 @@ def _brute_tunnel_n(r1, r2):
     return None
 
 
+def _scan_matches_brute(r1, r2):
+    """Assert that tunnel_check agrees with the reference; return its n."""
+    got = tunnel_check(r1, r2)
+    want = _brute_tunnel_n(r1, r2)
+    assert (got.n if got else None) == want
+    return want
+
+
+def _ports_walk(g, start, ports):
+    steps, node = [], start
+    for p in ports:
+        steps.append(g.traverse(node, p))
+        node = steps[-1].v
+    return steps
+
+
 def test_tunnel_check_matches_brute_force():
-    import random as _random
-
-    from tunnelmeet.routes import concat_routes
-
-    rng = _random.Random(47)
+    rng = random.Random(47)
     for trial in range(60):
         g = random_connected_graph(5, trial % 7)
 
         def walk(start, length):
-            steps = []
-            node = start
-            for _ in range(length):
-                port = rng.choice(g.ports(node))
-                step = g.traverse(node, port)
-                steps.append(step)
-                node = step.v
-            return route_from_steps(start, steps)
+            return random_walk_route(g, start, length, rng)
 
         r1 = walk(g.nodes[rng.randrange(5)], rng.randint(1, 12))
         if trial % 2:
@@ -190,6 +196,91 @@ def test_tunnel_check_matches_brute_force():
         want = _brute_tunnel_n(r1, r2)
         got = tunnel_check(r1, r2)
         assert (got.n if got else None) == want, trial
+
+
+def test_tunnel_check_on_periodic_routes():
+    # K2 routes alternate A->B, B->A; C4 routes circle the cycle.  Every
+    # length is periodic, so the prefix function's chains are long.
+    g = k2()
+    for a, b in itertools.product((1, 2, 63, 64, 65, 130), repeat=2):
+        for start2 in ("A", "B"):
+            r1 = route_from_steps("A", _ports_walk(g, "A", [1] * a))
+            r2 = route_from_steps(start2, _ports_walk(g, start2, [1] * b))
+            _scan_matches_brute(r1, r2)
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        k, _ = true_quadruple(g, "A", "B", i, j)
+        for cap in (k - 1, k):
+            r1, r2 = graph_rv(g, "A", i, Limits(cap)), graph_rv(g, "B", j, Limits(cap))
+            _scan_matches_brute(r1, r2)
+    g = c4()
+    for a, b in ((70, 300), (300, 70), (257, 257)):
+        for start2, port2 in itertools.product("abcd", (1, 2)):
+            r1 = route_from_steps("a", _ports_walk(g, "a", [1] * a))
+            r2 = route_from_steps(start2, _ports_walk(g, start2, [port2] * b))
+            _scan_matches_brute(r1, r2)
+
+
+def test_tunnel_check_on_ropes_sharing_subtrees():
+    # route one reads h forward, then under a reverse node; route two
+    # starts with reversed pieces of route one, so tunnels cross copies
+    rng = random.Random(53)
+    g = random_connected_graph(5, 4)
+    for trial in range(40):
+        a = random_walk_route(g, g.nodes[trial % 5], rng.randint(1, 50), rng)
+        b = random_walk_route(g, a.end, rng.randint(1, 50), rng)
+        h = concat_routes(a, b)
+        r1 = concat_routes(h, reverse_route(h), a, b, reverse_route(b))
+        if trial % 2:
+            head = reverse_route(h if trial % 4 == 1 else a)
+        else:
+            head = random_walk_route(g, g.nodes[rng.randrange(5)], rng.randint(1, 50), rng)
+        tail = random_walk_route(g, head.end, rng.randint(0, 80), rng)
+        r2 = concat_routes(head, tail, reverse_route(tail), tail)
+        _scan_matches_brute(r1, r2)
+
+
+# On the infinite line port 1 steps up and port 2 down.  Route one's first
+# step 0 -> 1 never recurs (the walk stays at 1 or above), so a planted
+# tunnel of length n is the only one of length n or less, and a tail that
+# stays at 0 or below never closes a longer one.
+
+def _line_route_one(rng, length):
+    ports, pos = [1], 1
+    for _ in range(length - 1):
+        p = 1 if pos == 1 or (pos < 4 and rng.random() < 0.5) else 2
+        pos += 1 if p == 1 else -1
+        ports.append(p)
+    return route_from_steps(0, _ports_walk(generator("infinite_line"), 0, ports))
+
+
+def _line_route_two(head, tail_length):
+    line = generator("infinite_line")
+    tail = route_from_steps(0, _ports_walk(line, 0, [2] * tail_length))
+    return concat_routes(reverse_route(head), tail)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 256, 257, 300, 1000])
+def test_tunnel_check_planted_at_window_edges(n):
+    rng = random.Random(n)
+    r1 = _line_route_one(rng, n + 40)
+    assert _scan_matches_brute(r1, _line_route_two(r1.prefix(n), 30)) == n
+    # the tunnel is the whole of the shorter route
+    assert _scan_matches_brute(r1, _line_route_two(r1.prefix(n), 0)) == n
+    assert _scan_matches_brute(r1.prefix(n), _line_route_two(r1.prefix(n), 30)) == n
+
+
+@pytest.mark.parametrize("n", [64, 257, 1000])
+def test_tunnel_check_rejects_long_partial_matches(n):
+    # route two reversed reads route one's first n-1 steps, then turns the
+    # other way: the matcher gets n-1 steps in and has to fall back
+    rng = random.Random(n)
+    r1 = _line_route_one(rng, n + 40)
+    steps = list(r1.prefix(n - 1).steps())
+    line = generator("infinite_line")
+    last = r1.step_at(n - 1)
+    steps.append(line.traverse(last.u, 3 - last.out_port))
+    head = route_from_steps(0, steps)
+    assert _scan_matches_brute(r1, _line_route_two(head, 30)) is None
 
 
 def test_infinite_line_rendezvous_route():
@@ -209,8 +300,15 @@ def test_infinite_line_rendezvous_route():
 
 def test_step_budget_guard():
     g = k2()
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded) as info:
         graph_rv(g, "A", 1, Limits(500, step_budget=10_000))
+    exc = info.value
+    assert str(exc) == f"route for label 1 exceeds 10000 steps at phase {exc.phase}"
+    # the phase is the first one over budget, and the length is exactly
+    # what the route would have been after it
+    assert graph_rv(g, "A", 1, Limits(exc.phase - 1, step_budget=10_000)).length <= 10_000
+    assert exc.length == graph_rv(g, "A", 1, Limits(exc.phase, step_budget=10**9)).length
+    assert exc.length > 10_000
 
 
 def test_routes_are_chained_and_use_confirmed_ports():

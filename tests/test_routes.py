@@ -2,26 +2,17 @@ import random
 
 import pytest
 
-from conftest import k2
+from conftest import k2, random_walk_route
 from tunnelmeet.graph_model import random_connected_graph
 from tunnelmeet.routes import (
+    _StepIds,
+    concat_routes,
     dump_route,
     empty_route,
     parse_route_dump,
     reverse_route,
     route_from_steps,
 )
-
-
-def random_walk_route(g, start, length, rng):
-    steps = []
-    node = start
-    for _ in range(length):
-        port = rng.choice(g.ports(node))
-        step = g.traverse(node, port)
-        steps.append(step)
-        node = step.v
-    return route_from_steps(start, steps)
 
 
 def test_reverse_empty():
@@ -109,3 +100,27 @@ def test_prefix():
     assert p.length == 4
     assert list(p.steps()) == list(r.steps())[:4]
     assert p.phase_marks == [(1, 0), (2, 4)]
+
+
+def test_step_ids_copy_shared_subtrees_in_both_orientations():
+    # h is written forward first, then met under a reverse node (copied
+    # reversed, outs and ins swapped) and forward again (copied as is)
+    rng = random.Random(31)
+    g = random_connected_graph(6, 2)
+    for _ in range(20):
+        a = random_walk_route(g, g.nodes[0], rng.randint(1, 40), rng)
+        b = random_walk_route(g, a.end, rng.randint(1, 40), rng)
+        h = concat_routes(a, b)
+        r = concat_routes(h, reverse_route(h), h, reverse_route(b), b, reverse_route(h))
+        ids = {}
+        got = _StepIds(r, ids)
+        steps = list(r.steps())
+        n = 0
+        while n < r.length:
+            n += rng.randint(1, 70)  # fill in pieces, stopping inside nodes
+            got.fill(n)
+            have = len(got.outs)
+            assert have >= min(n, r.length)
+            assert list(got.outs) == [ids[(s.u, s.out_port)] for s in steps[:have]]
+            assert list(got.ins) == [ids[(s.v, s.in_port)] for s in steps[:have]]
+        assert len(got.outs) == r.length
