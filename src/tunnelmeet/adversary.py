@@ -12,6 +12,13 @@ are affine, so the earliest coincidence is the root of a linear system
 in exact rational arithmetic.  Graph meetings count a shared node or a
 shared point inside an undirected edge; planar verdicts additionally
 carry the exact minimum of the squared distance over the horizon.
+
+Oracles that the verdict path does not call, kept so that tests can
+check the sweep independently: ``WalkSchedule.position_at``,
+``breakpoints`` and ``end_time`` (the schedule read directly, which the
+fine-grid numpy sampler uses), ``graph_point_at`` and ``planar_point_at``
+(positions by arc length), and ``validate_schedule`` (the streaming
+checker run to the end, plus coverage).
 """
 
 from __future__ import annotations
@@ -121,15 +128,6 @@ class WalkSchedule:
                 out.append((t0, a0))
             out.append((t1, a1))
         return out
-
-    def segment_completion(self) -> list[Fraction]:
-        """For each route step m, the time by which it is fully covered."""
-        done: list[Fraction] = []
-        for _, t1, m, _, _ in self.pieces():
-            while len(done) <= m:
-                done.append(t1)
-            done[m] = t1
-        return done
 
     def end_time(self) -> Fraction:
         t = _ZERO

@@ -19,6 +19,13 @@ precede the one matching the agents' real configuration, so the grading
 is the knob that keeps desk-scale runs affordable.  The order is frozen
 (see ``ENUM_VERSION`` and the shipped golden file); changing it is a
 breaking format change.
+
+The route builder reads only ``phase_stream``, and terrain ports use
+``rational_pair`` and its inverse ``rational_pair_index`` (built on
+``rational_index``).  ``phi_index`` and the sequence codec
+``seq_encode``/``seq_decode`` are oracles: the acceptance tests check
+the bijections with them, and ``phi_index`` names the phase at which a
+world's true hypothesis comes up.
 """
 
 from __future__ import annotations
@@ -264,8 +271,8 @@ def phi_index(q: Quadruple) -> int:
     return idx + 1
 
 
-def phase_stream(start: int = 1) -> Iterator[tuple[int, Quadruple]]:
-    """Yield (k, phi(k)) for k = start, start+1, ... without re-unranking.
+def phase_stream() -> Iterator[tuple[int, Quadruple]]:
+    """Yield (k, phi(k)) for k = 1, 2, ... without re-unranking.
 
     The route builder walks phases in order; iterating the grading
     directly is much cheaper than calling :func:`phi` per phase.
@@ -278,9 +285,8 @@ def phase_stream(start: int = 1) -> Iterator[tuple[int, Quadruple]]:
             n = 1
             while 2 * n <= m:
                 for rank in range(comb(m - 1, 2 * n - 1)):
-                    if k >= start:
-                        joint = _composition_unrank(m, 2 * n, rank)
-                        yield k, Quadruple(i, j, joint[:n], joint[n:])
+                    joint = _composition_unrank(m, 2 * n, rank)
+                    yield k, Quadruple(i, j, joint[:n], joint[n:])
                     k += 1
                 n += 1
         w += 1

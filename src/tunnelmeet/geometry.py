@@ -8,7 +8,9 @@ terrain rendezvous to graph rendezvous: every rational offset is a port
 edge between interior points, and a segment that touches the boundary
 leads to a degree-one stub node that forces the agent straight back.
 Routes built this way are polylines of rational points plus bounce
-pairs, so meeting detection stays in exact arithmetic.
+pairs, so meeting detection stays in exact arithmetic.  No agent needs
+an explicit rational path between two interior points; the grid witness
+of that connectivity lemma lives with the tests (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .graph_model import (
     GraphError,
     InvalidPort,
     PortLabeledGraph,
-    format_rational,
     parse_rational,
 )
 from .rendezvous import Limits, graph_rv
@@ -42,10 +43,6 @@ class TerrainError(GraphError):
 
 
 class StartNotInterior(TerrainError):
-    pass
-
-
-class NoPath(TerrainError):
     pass
 
 
@@ -194,17 +191,6 @@ def terrain_from_json(doc: dict) -> Terrain:
     return Terrain(pts(doc["outer"]), tuple(pts(h) for h in doc.get("holes", ())))
 
 
-def terrain_to_json(t: Terrain) -> dict:
-    def rows(poly):
-        return [[format_rational(x), format_rational(y)] for x, y in poly]
-
-    return {
-        "schema": TERRAIN_SCHEMA,
-        "outer": rows(t.outer),
-        "holes": [rows(h) for h in t.holes],
-    }
-
-
 def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> BoundaryHit | None:
     """First boundary contact of the segment from interior point v to u.
 
@@ -263,7 +249,6 @@ class GtArrival:
 
     kind: str  # "v1" | "v2"
     point: QPoint  # reached interior point, or the boundary hit point
-    hit: BoundaryHit | None = None
 
 
 def gt_traverse(t: Terrain, p: QPoint, port: int) -> GtArrival:
@@ -275,7 +260,7 @@ def gt_traverse(t: Terrain, p: QPoint, port: int) -> GtArrival:
     hit = first_boundary_hit(t, p, target)
     if hit is None:
         return GtArrival("v1", target)
-    return GtArrival("v2", hit.point, hit)
+    return GtArrival("v2", hit.point)
 
 
 class TerrainGraph(PortLabeledGraph):
@@ -444,123 +429,6 @@ def audit_planar_route(t: Terrain, route: PlanarRoute) -> None:
         prev = seg.end
     if pending_bounce is not None:
         raise TerrainError("route ends mid-bounce")
-
-
-# ---------------------------------------------------------------------------
-# Rational polyline oracle
-# ---------------------------------------------------------------------------
-
-def rational_path(t: Terrain, u: QPoint, v: QPoint) -> list[QPoint]:
-    """Rational polyline from u to v through the terrain's interior.
-
-    Grid construction: partition the plane into square cells, keep the
-    cells whose closure lies in the interior, and connect the two cells
-    through cell centers over side-adjacency, halving the cell size until
-    the endpoints connect.  Interior path-connectivity of the supported
-    terrains makes this terminate for interior rational endpoints.
-    """
-    u = (Fraction(u[0]), Fraction(u[1]))
-    v = (Fraction(v[0]), Fraction(v[1]))
-    for name, p in (("u", u), ("v", v)):
-        if not t.is_interior(p):
-            raise StartNotInterior(f"{name}={p} is not interior")
-    if u == v:
-        return [u]
-    if first_boundary_hit(t, u, v) is None:
-        return [u, v]
-    xs = [x for x, _ in t.outer]
-    ys = [y for _, y in t.outer]
-    delta = Fraction(1, 4)
-    while delta >= Fraction(1, 1 << 14):
-        path = _grid_path(t, u, v, delta, (min(xs), min(ys), max(xs), max(ys)))
-        if path is not None:
-            return path
-        delta /= 2
-    raise NoPath(f"no interior grid path from {u} to {v}")
-
-
-def _cell_ok(t: Terrain, delta: Fraction, cell, cache) -> bool:
-    ok = cache.get(cell)
-    if ok is None:
-        x0 = cell[0] * delta
-        y0 = cell[1] * delta
-        x1, y1 = x0 + delta, y0 + delta
-        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-        ok = all(t.is_interior(c) for c in corners)
-        if ok:
-            sides = tuple(
-                (corners[k], corners[(k + 1) % 4]) for k in range(4)
-            )
-            for a, b in t.boundary_edges():
-                if any(_segments_intersect(a, b, s0, s1) for s0, s1 in sides):
-                    ok = False
-                    break
-                if ok and x0 < a[0] < x1 and y0 < a[1] < y1:
-                    ok = False
-                    break
-        cache[cell] = ok
-    return ok
-
-
-def _grid_path(t, u, v, delta, bbox):
-    def cell_of(p):
-        return (p[0] // delta, p[1] // delta)
-
-    min_cx = int(bbox[0] // delta) - 1
-    max_cx = int(bbox[2] // delta) + 1
-    min_cy = int(bbox[1] // delta) - 1
-    max_cy = int(bbox[3] // delta) + 1
-    cu, cv = cell_of(u), cell_of(v)
-    cache: dict = {}
-    if not (_cell_ok(t, delta, cu, cache) and _cell_ok(t, delta, cv, cache)):
-        return None
-    parent = {cu: None}
-    queue = [cu]
-    qi = 0
-    while qi < len(queue):
-        cell = queue[qi]
-        qi += 1
-        if cell == cv:
-            break
-        cx, cy = cell
-        for nxt in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-            if nxt in parent:
-                continue
-            if not (min_cx <= nxt[0] <= max_cx and min_cy <= nxt[1] <= max_cy):
-                continue
-            if _cell_ok(t, delta, nxt, cache):
-                parent[nxt] = cell
-                queue.append(nxt)
-    if cv not in parent:
-        return None
-    half = delta / 2
-    centers = []
-    cell = cv
-    while cell is not None:
-        centers.append((cell[0] * delta + half, cell[1] * delta + half))
-        cell = parent[cell]
-    centers.reverse()
-    path = [u] + centers + [v]
-    return _dedupe(path)
-
-
-def _dedupe(points):
-    out = [points[0]]
-    for p in points[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
-
-
-def path_port_sequences(path: list[QPoint]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Forward and reverse port sequences of a rational polyline, as seen
-    by agents walking it in the terrain graph."""
-    fwd = []
-    rev = []
-    for a, b in zip(path, path[1:]):
-        fwd.append(rational_pair_index(b[0] - a[0], b[1] - a[1]))
-        rev.append(rational_pair_index(a[0] - b[0], a[1] - b[1]))
-    return tuple(fwd), tuple(reversed(rev))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ only total query), though no built-in generator has one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -90,10 +89,6 @@ class FiniteGraph(PortLabeledGraph):
     def ports(self, v: NodeHandle) -> list[int]:
         self._check_node(v)
         return sorted(self._adj[v])
-
-    def degree(self, v: NodeHandle) -> int:
-        self._check_node(v)
-        return len(self._adj[v])
 
     def is_port(self, v: NodeHandle, p: int) -> bool:
         self._check_node(v)
@@ -177,27 +172,6 @@ def load_graph_json(doc: dict) -> FiniteGraph:
     if doc.get("schema") != GRAPH_SCHEMA:
         raise GraphError(f"expected schema {GRAPH_SCHEMA!r}")
     return build_finite_graph(doc)
-
-
-def dump_graph_json(g: FiniteGraph) -> dict:
-    edges = []
-    seen = set()
-    for v in g.nodes:
-        for p in g.ports(v):
-            step = g.traverse(v, p)
-            if step.edge_id in seen:
-                continue
-            seen.add(step.edge_id)
-            edges.append(
-                {
-                    "u": step.u,
-                    "pu": step.out_port,
-                    "v": step.v,
-                    "pv": step.in_port,
-                    "len": format_rational(step.length),
-                }
-            )
-    return {"schema": GRAPH_SCHEMA, "nodes": g.nodes, "edges": edges}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +265,9 @@ def generator_origin(kind: str) -> NodeHandle:
 # Seeded random finite graphs (desk-scale test worlds)
 # ---------------------------------------------------------------------------
 
-def random_connected_graph(num_nodes: int, seed: int, extra_edges: int = 1) -> FiniteGraph:
-    """Random connected graph: a random attachment tree plus up to
-    ``extra_edges`` random chords, ports randomly permuted per node.
+def random_connected_graph(num_nodes: int, seed: int) -> FiniteGraph:
+    """Random connected graph: a random attachment tree plus at most one
+    random chord, ports randomly permuted per node.
     """
     rng = Random(seed)
     names = [f"n{i}" for i in range(num_nodes)]
@@ -308,9 +282,8 @@ def random_connected_graph(num_nodes: int, seed: int, extra_edges: int = 1) -> F
         if (i, j) not in pairs
     ]
     rng.shuffle(candidates)
-    for pair in candidates[:extra_edges]:
-        if rng.random() < 0.5:
-            pairs.add(pair)
+    if candidates and rng.random() < 0.5:
+        pairs.add(candidates[0])
     ordered = sorted(pairs)
     degree = {i: 0 for i in range(num_nodes)}
     for i, j in ordered:

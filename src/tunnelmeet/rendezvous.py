@@ -21,8 +21,7 @@ Knuth-Morris-Pratt matching in windows of 64, 256, 1024, ... steps.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 
 from .enumeration import phase_stream
 from .graph_model import NodeHandle, PortLabeledGraph
@@ -32,7 +31,6 @@ from .routes import (
     _StepIds,
     _cat,
     _leaf,
-    _node_len,
     _rev,
 )
 
@@ -55,12 +53,6 @@ class TunnelCertificate:
     two."""
 
     n: int
-    _r1: Route = field(repr=False)
-
-    @property
-    def meeting_path(self) -> tuple:
-        """The shared prefix (as traversals of route one)."""
-        return tuple(islice(self._r1.steps(), self.n))
 
 
 class _Builder:
@@ -80,7 +72,7 @@ class _Builder:
             if k > cap:
                 break
             if record_marks:
-                marks.append((k, _node_len(root)))
+                marks.append((k, root.length))
             if label == quad.i:
                 s1, s2, other = quad.s_prime, quad.s_dprime, quad.j
             elif label == quad.j:
@@ -104,7 +96,7 @@ class _Builder:
                 sim = self._sim(cur, other, k - 1)
                 root = _cat(root, sim, _rev(walk), _rev(hist), walk, _rev(sim))
             root = _cat(root, _rev(walk))
-            length = _node_len(root)
+            length = root.length
             if length > self.limits.step_budget:
                 raise StepBudgetExceeded(
                     f"route for label {label} exceeds {self.limits.step_budget} "
@@ -196,5 +188,5 @@ def tunnel_check(r1: Route, r2: Route) -> TunnelCertificate | None:
         while n and pi[n - 1]:
             n = pi[n - 1]
         if n:
-            return TunnelCertificate(n, r1)
+            return TunnelCertificate(n)
     return None

@@ -6,13 +6,16 @@ history and of simulated routes over and over, so the step sequence is
 held as a rope (concatenation DAG with reverse nodes) whose subtrees are
 shared.  Building is O(nodes); only iteration pays for the
 materialized length, and the step budget caps that length up front.
+
+``reverse_route`` and ``concat_routes`` are the rope's public
+constructors.  The recursion builds through the internal ``_cat`` and
+``_rev``; tests use the public pair to build routes that share subtrees.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .graph_model import EdgeTraversal, NodeHandle
@@ -31,15 +34,12 @@ class StepBudgetExceeded(Exception):
 
 
 class _Leaf:
-    __slots__ = ("steps", "_rev")
+    __slots__ = ("steps", "length", "_rev")
 
     def __init__(self, steps: tuple[EdgeTraversal, ...]):
         self.steps = steps
+        self.length = len(steps)
         self._rev = None
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
     def reversed_steps(self) -> tuple[EdgeTraversal, ...]:
         if self._rev is None:
@@ -52,25 +52,18 @@ class _Cat:
 
     def __init__(self, kids: tuple):
         self.kids = kids
-        self.length = sum(_node_len(k) for k in kids)
+        self.length = sum(k.length for k in kids)
 
 
 class _Rev:
-    __slots__ = ("kid",)
+    __slots__ = ("kid", "length")
 
     def __init__(self, kid):
         self.kid = kid
+        self.length = kid.length
 
 
 _EMPTY = _Leaf(())
-
-
-def _node_len(node) -> int:
-    if isinstance(node, _Leaf):
-        return len(node.steps)
-    if isinstance(node, _Rev):
-        return _node_len(node.kid)
-    return node.length
 
 
 def _iter_node(node, rev: bool) -> Iterator[EdgeTraversal]:
@@ -87,22 +80,22 @@ def _iter_node(node, rev: bool) -> Iterator[EdgeTraversal]:
             stack.extend((kid, rev) for kid in kids)
 
 
-def _step_at_fwd_or_rev(node, i: int, flip: bool) -> EdgeTraversal:
+def _step_at(node, i: int) -> EdgeTraversal:
+    flip = False
     while True:
         if isinstance(node, _Leaf):
             step = node.steps[i]
             return step.reversed() if flip else step
         if isinstance(node, _Rev):
             node = node.kid
-            i = _node_len(node) - 1 - i
+            i = node.length - 1 - i
             flip = not flip
             continue
         for kid in node.kids:
-            k = _node_len(kid)
-            if i < k:
+            if i < kid.length:
                 node = kid
                 break
-            i -= k
+            i -= kid.length
 
 
 @dataclass
@@ -121,7 +114,7 @@ class Route:
     @property
     def length(self) -> int:
         """Number of steps (an int, exact at any size)."""
-        return _node_len(self._root)
+        return self._root.length
 
     def steps(self) -> Iterator[EdgeTraversal]:
         return _iter_node(self._root, False)
@@ -129,29 +122,17 @@ class Route:
     def step_at(self, i: int) -> EdgeTraversal:
         if not 0 <= i < self.length:
             raise IndexError(i)
-        return _step_at_fwd_or_rev(self._root, i, flip=False)
+        return _step_at(self._root, i)
 
     @property
     def end(self) -> NodeHandle:
-        n = self.length
-        return self.start if n == 0 else self.step_at(n - 1).v
+        return self.node_after(self.length)
 
     def node_after(self, i: int) -> NodeHandle:
         """Node reached after the first ``i`` steps."""
         if i == 0:
             return self.start
         return self.step_at(i - 1).v
-
-    def prefix(self, n_steps: int) -> "Route":
-        """Route consisting of the first ``n_steps`` traversals."""
-        if n_steps > self.length:
-            raise IndexError(n_steps)
-        marks = [(k, s) for k, s in self.phase_marks if s <= n_steps]
-        return Route(self.start, _Leaf(tuple(islice(self.steps(), n_steps))), marks)
-
-
-def empty_route(start: NodeHandle) -> Route:
-    return Route(start)
 
 
 def route_from_steps(start: NodeHandle, steps: Iterable[EdgeTraversal]) -> Route:
@@ -187,7 +168,7 @@ def _leaf(steps: tuple[EdgeTraversal, ...]):
 
 
 def _cat(*nodes):
-    kids = tuple(n for n in nodes if _node_len(n) > 0)
+    kids = tuple(n for n in nodes if n.length > 0)
     if not kids:
         return _EMPTY
     if len(kids) == 1:
@@ -196,7 +177,7 @@ def _cat(*nodes):
 
 
 def _rev(node):
-    if _node_len(node) == 0:
+    if node.length == 0:
         return _EMPTY
     return _Rev(node)
 
@@ -228,7 +209,7 @@ class _StepIds:
             seen = first.get(node)
             if seen is not None:
                 at, was_rev = seen
-                end = at + _node_len(node)
+                end = at + node.length
                 o, i = outs[at:end], ins[at:end]
                 flip = rev != was_rev
             else:
@@ -279,7 +260,7 @@ def dump_route(r: Route) -> str:
     )
 
 
-def parse_route_dump(text: str, start=None) -> Route:
+def parse_route_dump(text: str) -> Route:
     """Rebuild a route from its dump.
 
     Edge identity is reconstructed canonically from the two directed
@@ -287,6 +268,7 @@ def parse_route_dump(text: str, start=None) -> Route:
     """
     from fractions import Fraction
 
+    start = None
     steps = []
     marks = []
     for raw in text.splitlines():

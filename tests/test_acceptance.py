@@ -446,7 +446,7 @@ def test_criterion_9_approximate_rendezvous(approx_report):
     _report(
         9,
         ok,
-        f"2^-32-dyadic start: worst min gap^2 = {worst} <= (2^-10)^2",
+        f"2^-30-dyadic start: worst min gap^2 = {worst} <= (2^-10)^2",
     )
     assert ok
 

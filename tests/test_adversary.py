@@ -18,7 +18,7 @@ from tunnelmeet.adversary import (
 )
 from tunnelmeet.graph_model import build_finite_graph, random_connected_graph
 from tunnelmeet.rendezvous import Limits, graph_rv
-from tunnelmeet.routes import concat_routes, empty_route, reverse_route, route_from_steps
+from tunnelmeet.routes import Route, concat_routes, reverse_route, route_from_steps
 
 
 def q(x, y=1):
@@ -30,7 +30,6 @@ def test_unit_speed_single_segment_breakpoints():
     r = route_from_steps("A", [g.traverse("A", 1)])
     w = make_schedule("unit_speed", r, 0)
     assert w.breakpoints() == [(F(0), F(0)), (F(1), F(1))]
-    assert w.segment_completion() == [F(1)]
 
 
 def test_alternating_pair_moves_one_at_a_time():
@@ -47,7 +46,6 @@ def test_alternating_pair_moves_one_at_a_time():
 
 
 def test_seeded_schedules_are_valid_walks():
-    rng = random.Random(99)
     g = random_connected_graph(5, 1)
     r = graph_rv(g, g.nodes[0], 2, Limits(12))
     for strategy in ("random_speeds", "jitter", "frozen_prefix", "unit_speed"):
@@ -272,7 +270,7 @@ def test_report_is_reproducible():
 
 
 def test_validate_accepts_every_schedule_on_an_empty_route():
-    r = empty_route("A")
+    r = Route("A")
     for strategy in STRATEGIES:
         for seed in range(20):
             validate_schedule(r, make_schedule(strategy, r, seed))
@@ -282,7 +280,7 @@ def test_partner_meets_an_agent_parked_on_an_empty_route():
     # frozen_prefix holds the empty-route agent at its start for at least
     # one time unit, long enough for the partner to arrive there
     g = k2()
-    r1 = empty_route("A")
+    r1 = Route("A")
     r2 = route_from_steps("B", [g.traverse("B", 1)])
     for seed in range(5):
         w1 = make_schedule("frozen_prefix", r1, seed)

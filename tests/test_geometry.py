@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import path_port_sequences, rational_path
 from tunnelmeet.enumeration import rational_pair, rational_pair_index
 from tunnelmeet.geometry import (
     StartNotInterior,
@@ -15,10 +16,6 @@ from tunnelmeet.geometry import (
     geometric_rv,
     gt_target,
     gt_traverse,
-    path_port_sequences,
-    rational_path,
-    terrain_from_json,
-    terrain_to_json,
 )
 from tunnelmeet.rendezvous import Limits
 
@@ -203,12 +200,6 @@ def test_frame_equivariance():
         assert move(a.start) == b.start
         assert move(a.end) == b.end
         assert a.kind == b.kind
-
-
-def test_terrain_json_round_trip():
-    t = square_with_hole()
-    doc = terrain_to_json(t)
-    assert terrain_from_json(doc) == t
 
 
 def test_approx_rendezvous_rational_starts_meet_exactly():

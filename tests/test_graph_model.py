@@ -12,10 +12,8 @@ from tunnelmeet.graph_model import (
     InvalidPort,
     UnknownNode,
     build_finite_graph,
-    dump_graph_json,
     generator,
     generator_origin,
-    load_graph_json,
     random_connected_graph,
 )
 
@@ -38,7 +36,6 @@ def test_unknown_node_and_invalid_port():
 
 
 def test_is_port_agrees_with_adjacency_table():
-    rng = random.Random(3)
     for seed in range(20):
         g = random_connected_graph(5, seed)
         table = {v: set(g.ports(v)) for v in g.nodes}
@@ -86,13 +83,6 @@ def test_builder_rejections():
         build_finite_graph(
             {"nodes": ["A"], "edges": [{"u": "A", "pu": 1, "v": "X", "pv": 1}]}
         )
-
-
-def test_graph_json_round_trip():
-    g = random_connected_graph(5, 1)
-    doc = dump_graph_json(g)
-    g2 = load_graph_json(doc)
-    assert dump_graph_json(g2) == doc
 
 
 def test_infinite_line_convention():

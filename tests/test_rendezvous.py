@@ -4,8 +4,8 @@ from itertools import islice
 
 import pytest
 
-from conftest import c4, k2, p3, random_walk_route, true_quadruple
-from tunnelmeet.enumeration import Quadruple, phi, phi_index
+from conftest import c4, k2, p3, prefix, random_walk_route, true_quadruple
+from tunnelmeet.enumeration import Quadruple, phi_index
 from tunnelmeet.graph_model import generator, random_connected_graph
 from tunnelmeet.rendezvous import Limits, graph_rv, tunnel_check
 from tunnelmeet.routes import (
@@ -81,7 +81,7 @@ def test_tunnel_k2_single_edges():
     r2 = route_from_steps("B", [g.traverse("B", 1)])
     cert = tunnel_check(r1, r2)
     assert cert is not None and cert.n == 1
-    step = cert.meeting_path[0]
+    step = r1.step_at(0)
     assert (step.u, step.v) == ("A", "B")
 
 
@@ -189,7 +189,7 @@ def test_tunnel_check_matches_brute_force():
         if trial % 2:
             # plant a tunnel: r2 begins with the reversal of an r1 prefix
             cut = rng.randint(1, r1.length)
-            planted = reverse_route(r1.prefix(cut))
+            planted = reverse_route(prefix(r1, cut))
             r2 = concat_routes(planted, walk(planted.end, rng.randint(0, 6)))
         else:
             r2 = walk(g.nodes[rng.randrange(5)], rng.randint(1, 12))
@@ -263,10 +263,10 @@ def _line_route_two(head, tail_length):
 def test_tunnel_check_planted_at_window_edges(n):
     rng = random.Random(n)
     r1 = _line_route_one(rng, n + 40)
-    assert _scan_matches_brute(r1, _line_route_two(r1.prefix(n), 30)) == n
+    assert _scan_matches_brute(r1, _line_route_two(prefix(r1, n), 30)) == n
     # the tunnel is the whole of the shorter route
-    assert _scan_matches_brute(r1, _line_route_two(r1.prefix(n), 0)) == n
-    assert _scan_matches_brute(r1.prefix(n), _line_route_two(r1.prefix(n), 30)) == n
+    assert _scan_matches_brute(r1, _line_route_two(prefix(r1, n), 0)) == n
+    assert _scan_matches_brute(prefix(r1, n), _line_route_two(prefix(r1, n), 30)) == n
 
 
 @pytest.mark.parametrize("n", [64, 257, 1000])
@@ -275,7 +275,7 @@ def test_tunnel_check_rejects_long_partial_matches(n):
     # other way: the matcher gets n-1 steps in and has to fall back
     rng = random.Random(n)
     r1 = _line_route_one(rng, n + 40)
-    steps = list(r1.prefix(n - 1).steps())
+    steps = list(prefix(r1, n - 1).steps())
     line = generator("infinite_line")
     last = r1.step_at(n - 1)
     steps.append(line.traverse(last.u, 3 - last.out_port))
@@ -285,10 +285,7 @@ def test_tunnel_check_rejects_long_partial_matches(n):
 
 def test_infinite_line_rendezvous_route():
     line = generator("infinite_line")
-    k, quad = None, None
     # agents at 0 and 1; the connecting path is the single +1 edge
-    sp = (1,)
-    sd = (sp[0],)
     step = line.traverse(0, 1)
     quad = Quadruple(1, 2, (1,), (step.in_port,))
     k = phi_index(quad)

@@ -5,10 +5,10 @@ import pytest
 from conftest import k2, random_walk_route
 from tunnelmeet.graph_model import random_connected_graph
 from tunnelmeet.routes import (
+    Route,
     _StepIds,
     concat_routes,
     dump_route,
-    empty_route,
     parse_route_dump,
     reverse_route,
     route_from_steps,
@@ -16,7 +16,7 @@ from tunnelmeet.routes import (
 
 
 def test_reverse_empty():
-    r = empty_route("A")
+    r = Route("A")
     rr = reverse_route(r)
     assert rr.length == 0
     assert rr.start == "A"
@@ -83,7 +83,7 @@ def test_dump_and_parse_round_trip():
 
 
 def test_empty_dump_keeps_start():
-    r = empty_route("A")
+    r = Route("A")
     text = dump_route(r)
     assert text.startswith("# start A")
     back = parse_route_dump(text)
@@ -91,15 +91,18 @@ def test_empty_dump_keeps_start():
     assert back.length == 0
 
 
-def test_prefix():
-    rng = random.Random(29)
-    g = random_connected_graph(5, 6)
-    r = random_walk_route(g, g.nodes[0], 10, rng)
-    r.phase_marks = [(1, 0), (2, 4)]
-    p = r.prefix(4)
-    assert p.length == 4
-    assert list(p.steps()) == list(r.steps())[:4]
-    assert p.phase_marks == [(1, 0), (2, 4)]
+def test_deeply_nested_reversal():
+    # each reversal wraps the rope in one more reverse node; lengths are
+    # stored per node, so nothing recurses over that depth
+    g = k2()
+    step = g.traverse("A", 1)
+    r = route_from_steps("A", [step])
+    for _ in range(5000):
+        r = reverse_route(r)
+    assert r.length == 1
+    assert (r.start, r.end) == ("A", "B")
+    assert r.step_at(0) == step
+    assert list(r.steps()) == [step]
 
 
 def test_step_ids_copy_shared_subtrees_in_both_orientations():
