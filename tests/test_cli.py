@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from tunnelmeet.cli import main
+from tunnelmeet.graph_model import random_connected_graph
+from tunnelmeet.rendezvous import Limits, graph_rv
+from tunnelmeet.routes import StepBudgetExceeded, dump_route
 
 SCENARIOS = resources.files("tunnelmeet") / "scenarios"
 
@@ -278,3 +282,44 @@ def test_run_with_empty_routes_reports_no_meeting(tmp_path, name):
     doc = json.loads(out.read_text())
     assert doc["schema"] == "verdict-v1"
     assert doc["cells"] and all(c["met"] is False for c in doc["cells"])
+
+
+# SHA-256 of ``tunnel`` output over every ordered pair of a fixed set of
+# route dumps; any change to how the tunnel scan reads routes moves it.
+TUNNEL_PAIRS_SHA256 = "aba8dab6c8b2c0a63bea8ec2f36a1d306addb3b4b4aff7d186b10d04682f9274"
+
+
+def _tunnel_golden_dumps(tmp_path):
+    """Both k2 agents at several phase caps, then seeded ``graph_rv``
+    routes on random graphs (routes over 1,000 steps are skipped)."""
+    paths = []
+    for cap in (1, 2, 3, 5, 8, 12, 20, 40):
+        for agent in (0, 1):
+            out = tmp_path / f"k2-{cap}-{agent}.txt"
+            args = ["route", scenario_path("k2"), "--phase-cap", str(cap)]
+            assert main(args + ["--agent", str(agent), "--out", str(out)]) == 0
+            paths.append(out)
+    rng = random.Random(5)
+    for seed in range(8):
+        g = random_connected_graph(5, seed)
+        for label in (1, 2, 3):
+            start, cap = rng.choice(g.nodes), rng.choice((10, 20, 40, 80))
+            try:
+                route = graph_rv(g, start, label, Limits(cap, 1000))
+            except StepBudgetExceeded:
+                continue
+            out = tmp_path / f"r{seed}-{label}-{start}-{cap}.txt"
+            out.write_text(dump_route(route), encoding="utf-8")
+            paths.append(out)
+    return paths
+
+
+def test_tunnel_output_golden(tmp_path, capsys):
+    paths = _tunnel_golden_dumps(tmp_path)
+    capsys.readouterr()
+    lines = []
+    for a in paths:
+        for b in paths:
+            assert main(["tunnel", str(a), str(b)]) == 0
+            lines.append(f"{a.name} {b.name} {capsys.readouterr().out}")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == TUNNEL_PAIRS_SHA256
