@@ -39,7 +39,7 @@ from .graph_model import (
     load_graph_json,
     parse_rational,
 )
-from .rendezvous import Limits, graph_rv, tunnel_check
+from .rendezvous import DEFAULT_STEP_BUDGET, Limits, graph_rv, tunnel_check
 from .routes import StepBudgetExceeded, dump_lines, dump_route, parse_route_dump
 
 SCENARIO_SCHEMA = "scenario-v1"
@@ -89,7 +89,7 @@ def _limits(doc: dict, args) -> Limits:
     budget = (
         args.step_budget
         if args.step_budget is not None
-        else lim.get("step_budget", 10**7)
+        else lim.get("step_budget", DEFAULT_STEP_BUDGET)
     )
     return Limits(int(cap), int(budget))
 
@@ -186,7 +186,9 @@ def cmd_run(args) -> int:
     limits = _limits(doc, args)
     agents = doc["agents"]
     adversary = doc.get("adversary", {})
-    seeds = [args.seed] if args.seed is not None else list(adversary.get("seeds", [0]))
+    seeds = [args.seed] if args.seed is not None else adversary.get("seeds", [0])
+    if not (isinstance(seeds, list) and all(type(s) is int for s in seeds)):
+        raise ScenarioError(f"adversary.seeds must be a list of ints, got {seeds!r}")
     suite = suite_from_names(
         adversary.get("strategies", [row[0] for row in DEFAULT_SUITE])
     )

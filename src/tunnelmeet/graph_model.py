@@ -155,12 +155,11 @@ def build_finite_graph(spec: dict) -> FiniteGraph:
 
 def parse_rational(value) -> Fraction:
     """Parse ``"num/den"`` strings (and ints/Fractions) to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise GraphError(f"not an exact rational: {value!r}")
 
 

@@ -158,13 +158,13 @@ def tunnel_check(r1: Route, r2: Route) -> TunnelCertificate | None:
     ``min(r1.length, r2.length)``, and stops at the first window that holds
     a tunnel, so short tunnels stay cheap.  The prefix function only grows
     with the window, so reading ``L`` steps costs about ``2.3 L`` loop
-    iterations.  Both routes are read off the rope (``_StepIds``), one
+    iterations.  ``_StepIds`` reads ``x`` and ``z`` off the rope, one
     Python step per DAG node and leaf step.
     """
     limit = min(r1.length, r2.length)
-    ids: dict = {}
-    one, two = _StepIds(r1, ids), _StepIds(r2, ids)
-    x, z = one.outs, two.ins
+    table: dict = {}
+    one, two = _StepIds(r1, table), _StepIds(r2, table, in_end=True)
+    x, z = one.ids, two.ids
     pi = array("i", [0])  # pi[i]: longest proper border of x[:i+1]
     m = 0
     while m < limit:

@@ -7,15 +7,16 @@ held as a rope (concatenation DAG with reverse nodes) whose subtrees are
 shared.  Building is O(nodes); only iteration pays for the
 materialized length, and the step budget caps that length up front.
 
-``reverse_route`` and ``concat_routes`` are the rope's public
-constructors.  The recursion builds through the internal ``_cat`` and
-``_rev``; tests use the public pair to build routes that share subtrees.
+Every rope node is built by ``_leaf``, ``_cat`` or ``_rev`` (empty kids
+dropped, a lone kid returned, a reversed reversal unwrapped); the public
+``route_from_steps``, ``concat_routes`` and ``reverse_route`` wrap them.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .graph_model import EdgeTraversal, NodeHandle
@@ -142,12 +143,12 @@ def route_from_steps(start: NodeHandle, steps: Iterable[EdgeTraversal]) -> Route
         if step.u != cur:
             raise ValueError(f"route not chained at {step!r}")
         cur = step.v
-    return Route(start, _Leaf(steps))
+    return Route(start, _leaf(steps))
 
 
 def reverse_route(r: Route) -> Route:
     """The same edges in reverse order, each traversal reversed."""
-    return Route(r.end, _Rev(r._root))
+    return Route(r.end, _rev(r._root))
 
 
 def concat_routes(first: Route, *rest: Route) -> Route:
@@ -158,7 +159,7 @@ def concat_routes(first: Route, *rest: Route) -> Route:
             raise ValueError("concatenation endpoints do not chain")
         kids.append(r._root)
         cur = r.end
-    return Route(first.start, _Cat(tuple(kids)))
+    return Route(first.start, _cat(*kids))
 
 
 # Internal builder API (used by the rendezvous recursion) -------------------
@@ -179,55 +180,51 @@ def _cat(*nodes):
 def _rev(node):
     if node.length == 0:
         return _EMPTY
+    if isinstance(node, _Rev):
+        return node.kid
     return _Rev(node)
 
 
 class _StepIds:
-    """A route's directed steps as interned ints, read off the rope.
+    """One end of each step of a route, as interned ints read off the rope.
 
-    ``outs[i]`` is the id of step i's ``(u, out_port)`` and ``ins[i]`` the
-    id of its ``(v, in_port)``, which is the directed step of its reversal.
-    The arrays grow on demand by ``fill``.  Each rope node is expanded once:
-    a node met again is copied from where it was first written, reversed
-    with ``outs`` and ``ins`` swapped when it was first written in the
-    other orientation.  Python work is O(DAG nodes) plus the leaves' steps;
-    the rest is slice copying.
+    ``ids[i]`` is the id of step i's ``(u, out_port)``, or of its
+    ``(v, in_port)`` when ``in_end`` is set; ``table`` interns the ends
+    and is shared by the routes being compared.  ``ids`` grows on demand
+    by ``fill``.  Each rope node is expanded at most once per orientation:
+    a ``(node, reversed)`` pair met again is a slice copy of where it was
+    first written.  Python work is O(DAG nodes) plus the leaves' steps.
     """
 
-    def __init__(self, route: Route, ids: dict):
-        self.outs = array("i")
-        self.ins = array("i")
-        self._ids = ids
-        self._first: dict = {}  # node -> (offset, reversed) of its first copy
+    def __init__(self, route: Route, table: dict, in_end: bool = False):
+        self.ids = array("i")
+        self._table = table
+        # a reversed step's (u, out_port) is the step's (v, in_port), so a
+        # leaf met reversed reads the other end: _ends[reversed]
+        ends = (attrgetter("u", "out_port"), attrgetter("v", "in_port"))
+        self._ends = ends[::-1] if in_end else ends
+        self._first: dict = {}  # (node, reversed) -> offset of its first copy
         self._stack = [(route._root, False)]
 
     def fill(self, n: int) -> None:
-        """Extend the arrays to at least ``n`` steps, or to the route's end."""
-        outs, ins, ids, first, stack = self.outs, self.ins, self._ids, self._first, self._stack
-        while len(outs) < n and stack:
-            node, rev = stack.pop()
-            seen = first.get(node)
-            if seen is not None:
-                at, was_rev = seen
-                end = at + node.length
-                o, i = outs[at:end], ins[at:end]
-                flip = rev != was_rev
+        """Extend ``ids`` to at least ``n`` steps, or to the route's end."""
+        ids, table, first, stack = self.ids, self._table, self._first, self._stack
+        while len(ids) < n and stack:
+            node, rev = key = stack.pop()
+            at = first.get(key)
+            if at is not None:
+                ids.extend(ids[at : at + node.length])
+                continue
+            first[key] = len(ids)
+            if isinstance(node, _Rev):
+                stack.append((node.kid, not rev))
+            elif isinstance(node, _Cat):
+                kids = node.kids if rev else reversed(node.kids)
+                stack.extend((kid, rev) for kid in kids)
             else:
-                first[node] = (len(outs), rev)
-                if isinstance(node, _Rev):
-                    stack.append((node.kid, not rev))
-                    continue
-                if isinstance(node, _Cat):
-                    kids = node.kids if rev else reversed(node.kids)
-                    stack.extend((kid, rev) for kid in kids)
-                    continue
-                o = [ids.setdefault((s.u, s.out_port), len(ids)) for s in node.steps]
-                i = [ids.setdefault((s.v, s.in_port), len(ids)) for s in node.steps]
-                flip = rev
-            if flip:
-                o, i = i[::-1], o[::-1]
-            outs.extend(o)
-            ins.extend(i)
+                end = self._ends[rev]
+                steps = reversed(node.steps) if rev else node.steps
+                ids.extend([table.setdefault(end(s), len(table)) for s in steps])
 
 
 # Text dump -----------------------------------------------------------------

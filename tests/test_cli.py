@@ -87,6 +87,41 @@ def test_run_rejects_duplicate_labels(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+def _set_edge_len(doc, value):
+    doc["world"]["graph"]["edges"][0]["len"] = value
+
+
+def _set_terrain_x(doc, value):
+    doc["world"]["terrain"]["holes"][0][1][0] = value
+
+
+@pytest.mark.parametrize(
+    "name,edit,value",
+    [
+        ("k2", _set_edge_len, "1/0"),
+        ("k2", _set_edge_len, "one"),
+        ("hole", _set_terrain_x, "5/0"),
+        ("hole", _set_terrain_x, "5/8x"),
+    ],
+)
+def test_run_rejects_bad_rationals(tmp_path, capsys, name, edit, value):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    edit(doc, value)
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: GraphError: not an exact rational: {value!r}\n"
+
+
+@pytest.mark.parametrize("seeds", ["ab", [0, "1"], [True], 3])
+def test_run_rejects_bad_seeds(tmp_path, capsys, seeds):
+    doc = json.loads((SCENARIOS / "k2.json").read_text())
+    doc["adversary"]["seeds"] = seeds
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioError: adversary.seeds ")
+    assert err.count("\n") == 1
+
+
 K2_ROUTE_DUMP = (
     "# start A\n"
     "# phase 1\n"

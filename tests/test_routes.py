@@ -1,4 +1,5 @@
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -37,6 +38,7 @@ def test_double_reverse_is_identity_on_random_routes():
         start = rng.choice(g.nodes)
         r = random_walk_route(g, start, rng.randint(0, 25), rng)
         rr = reverse_route(reverse_route(r))
+        assert rr._root is r._root
         assert rr.start == r.start
         assert list(rr.steps()) == list(r.steps())
 
@@ -92,8 +94,8 @@ def test_empty_dump_keeps_start():
 
 
 def test_deeply_nested_reversal():
-    # each reversal wraps the rope in one more reverse node; lengths are
-    # stored per node, so nothing recurses over that depth
+    # a reversal of a reversal unwraps it, so 5,000 reversals leave the
+    # leaf itself and each one costs O(1)
     g = k2()
     step = g.traverse("A", 1)
     r = route_from_steps("A", [step])
@@ -106,8 +108,9 @@ def test_deeply_nested_reversal():
 
 
 def test_step_ids_copy_shared_subtrees_in_both_orientations():
-    # h is written forward first, then met under a reverse node (copied
-    # reversed, outs and ins swapped) and forward again (copied as is)
+    # h is written forward first, then met under a reverse node (expanded
+    # in that orientation) and forward again (a slice copy); both ends are
+    # read under the same piecewise fills
     rng = random.Random(31)
     g = random_connected_graph(6, 2)
     for _ in range(20):
@@ -115,15 +118,16 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
         b = random_walk_route(g, a.end, rng.randint(1, 40), rng)
         h = concat_routes(a, b)
         r = concat_routes(h, reverse_route(h), h, reverse_route(b), b, reverse_route(h))
-        ids = {}
-        got = _StepIds(r, ids)
+        table = {}
+        outs, ins = _StepIds(r, table), _StepIds(r, table, in_end=True)
         steps = list(r.steps())
+        out_end, in_end = attrgetter("u", "out_port"), attrgetter("v", "in_port")
         n = 0
         while n < r.length:
             n += rng.randint(1, 70)  # fill in pieces, stopping inside nodes
-            got.fill(n)
-            have = len(got.outs)
-            assert have >= min(n, r.length)
-            assert list(got.outs) == [ids[(s.u, s.out_port)] for s in steps[:have]]
-            assert list(got.ins) == [ids[(s.v, s.in_port)] for s in steps[:have]]
-        assert len(got.outs) == r.length
+            for got, end in ((outs, out_end), (ins, in_end)):
+                got.fill(n)
+                have = len(got.ids)
+                assert have >= min(n, r.length)
+                assert list(got.ids) == [table[end(s)] for s in steps[:have]]
+        assert len(outs.ids) == len(ins.ids) == r.length
