@@ -56,11 +56,21 @@ def _load_scenario(path: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
-    if doc.get("schema") != SCENARIO_SCHEMA:
+    if not isinstance(doc, dict) or doc.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f"{path}: expected schema {SCENARIO_SCHEMA!r}")
     agents = doc.get("agents")
     if not isinstance(agents, list) or len(agents) != 2:
         raise ScenarioError(f"{path}: scenario needs exactly two agents")
+    shaped = [(f, doc.get(f, {})) for f in ("world", "limits", "adversary")]
+    shaped += [(f"agents[{n}]", a) for n, a in enumerate(agents)]
+    for field, value in shaped:
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{path}: {field} must be an object, got {value!r}")
+    names = doc.get("adversary", {}).get("strategies", [])
+    if not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
+        raise ScenarioError(
+            f"{path}: adversary.strategies must be a list of strings, got {names!r}"
+        )
     l1, l2 = (a.get("label") for a in agents)
     if not (isinstance(l1, int) and isinstance(l2, int) and 0 < l1 and 0 < l2):
         raise ScenarioError(f"{path}: labels must be positive integers")
@@ -91,7 +101,10 @@ def _limits(doc: dict, args) -> Limits:
         if args.step_budget is not None
         else lim.get("step_budget", DEFAULT_STEP_BUDGET)
     )
-    return Limits(int(cap), int(budget))
+    for field, value in (("phase_cap", cap), ("step_budget", budget)):
+        if type(value) is not int:
+            raise ScenarioError(f"limits.{field} must be an int, got {value!r}")
+    return Limits(cap, budget)
 
 
 def _start_for(kind: str, world_doc: dict, agent: dict):

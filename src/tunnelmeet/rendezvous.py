@@ -7,6 +7,8 @@ sequence checks out (the walk succeeds and the observed entry ports
 match the reverse sequence), the agent extends its route with a
 simulation of the other agent's first ``k-1`` phases and a back-and-
 forth that forces the two routes to form a tunnel for that hypothesis.
+That simulation is a prefix of the partner's own route, so the builder
+keeps one phase history per ``(start, label)`` and looks it up there.
 
 Two routes form a tunnel when a prefix of one, read backward with every
 traversal reversed, is a prefix of the other; a tunnel certificate is a
@@ -39,8 +41,8 @@ DEFAULT_STEP_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class Limits:
-    """Construction limits: how many phases to run and how long the
-    materialized route may get before the builder gives up."""
+    """Construction limits: how many phases to run (none when 0 or less)
+    and how long the route may get before the builder gives up."""
 
     phase_cap: int
     step_budget: int = DEFAULT_STEP_BUDGET
@@ -56,86 +58,83 @@ class TunnelCertificate:
 
 
 class _Builder:
+    """Per ``(start, label)``, a ``phase_stream`` iterator and ``ropes[k]``,
+    the rope after ``k`` phases.  Phase counts strictly decrease along the
+    recursion, so a run being extended is asked only for phases it holds."""
+
     def __init__(self, g: PortLabeledGraph, limits: Limits):
         self.g = g
         self.limits = limits
-        self.memo: dict = {}
+        self.runs: dict = {}
 
-    def build(self, v: NodeHandle, label: int, cap: int, record_marks: bool):
-        """Route rope for the first ``cap`` phases of the recursion."""
+    def ropes(self, v: NodeHandle, label: int, phases: int) -> list:
+        """The run's ropes, extended until it holds ``phases`` phases."""
+        run = self.runs.get((v, label))
+        if run is None:
+            run = self.runs[v, label] = (phase_stream(), [_leaf(())])
+        stream, ropes = run
+        while len(ropes) <= phases:
+            k, quad = next(stream)
+            ropes.append(self._phase(v, label, k, quad, ropes[-1]))
+        return ropes
+
+    def _phase(self, v: NodeHandle, label: int, k: int, quad, root):
         g = self.g
-        root = _leaf(())
-        marks: list[tuple[int, int]] = []
-        if cap <= 0:
-            return root, marks
-        for k, quad in phase_stream():
-            if k > cap:
+        if label == quad.i:
+            s1, s2, other = quad.s_prime, quad.s_dprime, quad.j
+        elif label == quad.j:
+            s1, s2, other = quad.s_dprime, quad.s_prime, quad.i
+        else:
+            return root
+        walked = []
+        entries = []
+        cur = v
+        for port in s1:
+            if not g.is_port(cur, port):
                 break
-            if record_marks:
-                marks.append((k, root.length))
-            if label == quad.i:
-                s1, s2, other = quad.s_prime, quad.s_dprime, quad.j
-            elif label == quad.j:
-                s1, s2, other = quad.s_dprime, quad.s_prime, quad.i
-            else:
-                continue
-            walked = []
-            entries = []
-            cur = v
-            for port in s1:
-                if not g.is_port(cur, port):
-                    break
-                step = g.traverse(cur, port)
-                walked.append(step)
-                entries.append(step.in_port)
-                cur = step.v
-            walk = _leaf(tuple(walked))
-            hist = root
-            root = _cat(root, walk)
-            if len(walked) == len(s1) and s2 == tuple(reversed(entries)):
-                sim = self._sim(cur, other, k - 1)
-                root = _cat(root, sim, _rev(walk), _rev(hist), walk, _rev(sim))
-            root = _cat(root, _rev(walk))
-            length = root.length
-            if length > self.limits.step_budget:
-                raise StepBudgetExceeded(
-                    f"route for label {label} exceeds {self.limits.step_budget} "
-                    f"steps at phase {k}",
-                    length,
-                    k,
-                )
-        return root, marks
-
-    def _sim(self, w: NodeHandle, label: int, phases: int):
-        key = (w, label, phases)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached, _ = self.build(w, label, phases, record_marks=False)
-            self.memo[key] = cached
-        return cached
+            step = g.traverse(cur, port)
+            walked.append(step)
+            entries.append(step.in_port)
+            cur = step.v
+        walk = _leaf(tuple(walked))
+        hist = root
+        root = _cat(root, walk)
+        if len(walked) == len(s1) and s2 == tuple(reversed(entries)):
+            sim = self.ropes(cur, other, k - 1)[k - 1]
+            root = _cat(root, sim, _rev(walk), _rev(hist), walk, _rev(sim))
+        root = _cat(root, _rev(walk))
+        length = root.length
+        if length > self.limits.step_budget:
+            raise StepBudgetExceeded(
+                f"route for label {label} exceeds {self.limits.step_budget} "
+                f"steps at phase {k}",
+                length,
+                k,
+            )
+        return root
 
 
 def graph_rv(
-    g: PortLabeledGraph,
-    v: NodeHandle,
-    label: int,
-    limits: Limits,
-    phases: int | None = None,
+    g: PortLabeledGraph, v: NodeHandle, label: int, limits: Limits
 ) -> Route:
-    """Route of the recursion's first ``phases`` phases, capped by
-    ``limits.phase_cap``.
+    """Route of the recursion's first ``limits.phase_cap`` phases, standing
+    in for the algorithm's open-ended run, with ``(k, length before phase
+    k)`` marks.  A smaller cap gives the route the agent simulates for its
+    partner, a prefix of the longer one.
 
-    With ``phases`` left out the count is ``limits.phase_cap`` (standing in
-    for the algorithm's open-ended run).  A smaller count gives the route
-    the agent simulates for its partner, which equals the corresponding
-    prefix of the full route for the same start and label.
+    >>> from tunnelmeet.graph_model import build_finite_graph
+    >>> k2 = build_finite_graph({"nodes": ["A", "B"],
+    ...     "edges": [{"u": "A", "pu": 1, "v": "B", "pv": 1, "len": 1}]})
+    >>> r = graph_rv(k2, "A", 1, Limits(3))
+    >>> r.length, r.phase_marks
+    (6, [(1, 0), (2, 4), (3, 6)])
     """
     if label < 1:
         raise ValueError("labels are positive integers")
-    cap = limits.phase_cap if phases is None else min(phases, limits.phase_cap)
-    builder = _Builder(g, limits)
-    root, marks = builder.build(v, label, cap, record_marks=True)
-    return Route(v, root, marks)
+    cap = max(limits.phase_cap, 0)
+    ropes = _Builder(g, limits).ropes(v, label, cap)
+    marks = [(k, ropes[k - 1].length) for k in range(1, cap + 1)]
+    return Route(v, ropes[cap], marks)
 
 
 #: the scan reads windows of this many steps, then four times as many, ...

@@ -232,7 +232,7 @@ def test_criterion_5_simulation_mode_prefix(corpus):
     for (world, start, label), (g, full, cap) in built.items():
         marks = dict(full.phase_marks)
         for p in range(0, min(10, cap) + 1):
-            sim = graph_rv(g, start, label, Limits(cap, STEP_BUDGET), phases=p)
+            sim = graph_rv(g, start, label, Limits(p, STEP_BUDGET))
             want = marks.get(p + 1, full.length)
             assert sim.length == want, (world, start, label, p)
             assert list(sim.steps()) == list(islice(full.steps(), want))

@@ -122,6 +122,34 @@ def test_run_rejects_bad_seeds(tmp_path, capsys, seeds):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "keys,value,field",
+    [
+        (("world",), 5, "world"),
+        (("limits",), "x", "limits"),
+        (("adversary",), 5, "adversary"),
+        (("agents",), [5, 6], "agents[0]"),
+        (("adversary", "strategies"), "unit_speed", "adversary.strategies"),
+        (("adversary", "strategies"), ["unit_speed", 3], "adversary.strategies"),
+        (("limits", "phase_cap"), 2.7, "limits.phase_cap"),
+        (("limits", "phase_cap"), True, "limits.phase_cap"),
+        (("limits", "step_budget"), "100", "limits.step_budget"),
+    ],
+)
+def test_run_rejects_bad_scenario_shapes(tmp_path, capsys, keys, value, field):
+    doc = json.loads((SCENARIOS / "k2.json").read_text())
+    *outer, last = keys
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioError: ")
+    assert f" {field} must be " in err
+    assert err.count("\n") == 1
+
+
 K2_ROUTE_DUMP = (
     "# start A\n"
     "# phase 1\n"

@@ -5,7 +5,8 @@ from itertools import islice
 import pytest
 
 from conftest import c4, k2, p3, prefix, random_walk_route, true_quadruple
-from tunnelmeet.enumeration import Quadruple, phi_index
+from tunnelmeet import rendezvous
+from tunnelmeet.enumeration import Quadruple, phase_stream, phi_index
 from tunnelmeet.graph_model import generator, random_connected_graph
 from tunnelmeet.rendezvous import Limits, graph_rv, tunnel_check
 from tunnelmeet.routes import (
@@ -18,7 +19,7 @@ from tunnelmeet.routes import (
 
 def test_zero_phases_is_empty_route():
     g = k2()
-    r = graph_rv(g, "A", 1, Limits(10), phases=0)
+    r = graph_rv(g, "A", 1, Limits(0))
     assert r.length == 0
     assert r.start == "A"
 
@@ -57,11 +58,10 @@ def test_phase_closure_on_small_worlds():
 
 def test_simulation_mode_is_main_mode_prefix():
     g = p3()
-    limits = Limits(40)
-    full = graph_rv(g, "A", 2, limits)
+    full = graph_rv(g, "A", 2, Limits(40))
     marks = dict(full.phase_marks)
     for p in range(0, 11):
-        sim = graph_rv(g, "A", 2, limits, phases=p)
+        sim = graph_rv(g, "A", 2, Limits(p))
         want = marks.get(p + 1, full.length)
         assert sim.length == want
         assert list(sim.steps()) == list(islice(full.steps(), want))
@@ -306,6 +306,36 @@ def test_step_budget_guard():
     assert graph_rv(g, "A", 1, Limits(exc.phase - 1, step_budget=10_000)).length <= 10_000
     assert exc.length == graph_rv(g, "A", 1, Limits(exc.phase, step_budget=10**9)).length
     assert exc.length > 10_000
+
+
+def test_budget_error_inside_a_simulated_partner_run():
+    with pytest.raises(StepBudgetExceeded) as info:
+        graph_rv(c4(), "c", 1, Limits(400, step_budget=1000))
+    exc = info.value
+    assert str(exc) == "route for label 2 exceeds 1000 steps at phase 24"
+    assert (exc.length, exc.phase) == (1252, 24)
+
+
+@pytest.mark.parametrize(
+    "g,start,cap", [(c4(), "a", 60), (random_connected_graph(5, 3), "n0", 200)]
+)
+def test_no_phase_is_replayed(monkeypatch, g, start, cap):
+    # one phase_stream per (start, label) run, each drawn at most cap
+    # times; the budget never fires, so every run goes as far as asked
+    draws = []
+
+    def counted():
+        draws.append(0)
+        n = len(draws) - 1
+        for item in phase_stream():
+            draws[n] += 1
+            yield item
+
+    monkeypatch.setattr(rendezvous, "phase_stream", counted)
+    graph_rv(g, start, 1, Limits(cap, step_budget=10**30))
+    labels = max(max(q.i, q.j) for _, q in islice(phase_stream(), cap))
+    assert len(draws) <= len(g.nodes) * labels
+    assert sum(draws) <= cap * len(draws)
 
 
 def test_routes_are_chained_and_use_confirmed_ports():
