@@ -28,6 +28,7 @@ from .enumeration import ENUM_VERSION, Quadruple, phi, rational_pair
 from .geometry import (
     StartNotInterior,
     approx_rendezvous,
+    geometric_routes,
     geometric_rv,
     terrain_from_json,
 )
@@ -39,7 +40,13 @@ from .graph_model import (
     load_graph_json,
     parse_rational,
 )
-from .rendezvous import DEFAULT_STEP_BUDGET, Limits, graph_rv, tunnel_check
+from .rendezvous import (
+    DEFAULT_STEP_BUDGET,
+    Limits,
+    RouteBuilder,
+    graph_rv,
+    tunnel_check,
+)
 from .routes import StepBudgetExceeded, dump_lines, dump_route, parse_route_dump
 
 SCENARIO_SCHEMA = "scenario-v1"
@@ -225,11 +232,10 @@ def cmd_run(args) -> int:
         ok = report["within_epsilon"]
     else:
         if kind == "terrain":
-            r1 = geometric_rv(world, starts[0], labels[0], limits)
-            r2 = geometric_rv(world, starts[1], labels[1], limits)
+            r1, r2 = geometric_routes(world, starts, labels, limits)
         else:
-            r1 = graph_rv(world, starts[0], labels[0], limits)
-            r2 = graph_rv(world, starts[1], labels[1], limits)
+            builder = RouteBuilder(world, limits)
+            r1, r2 = (builder.route(s, label) for s, label in zip(starts, labels))
         report = verify_rendezvous(world, r1, r2, suite=suite, seeds=tuple(seeds))
         ok = report["all_met"]
     text = json.dumps(_report_json(doc, report, args.float), indent=2, sort_keys=True) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import rational_pair, rational_pair_index
 from .graph_model import (
@@ -27,7 +27,7 @@ from .graph_model import (
     PortLabeledGraph,
     parse_rational,
 )
-from .rendezvous import Limits, graph_rv
+from .rendezvous import Limits, RouteBuilder, graph_rv
 from .routes import Route
 
 QPoint = tuple[Fraction, Fraction]
@@ -374,16 +374,34 @@ class PlanarRoute:
             yield seg.end
 
 
+def _start_node(t: Terrain, start: QPoint):
+    start = (Fraction(start[0]), Fraction(start[1]))
+    if not t.is_interior(start):
+        raise StartNotInterior(f"{start} is not interior")
+    return ("v1", start)
+
+
 def geometric_rv(
     t: Terrain, start: QPoint, label: int, limits: Limits
 ) -> PlanarRoute:
     """Terrain rendezvous route: the graph construction run on the
     terrain's port-labeled view, seen as planar segments."""
-    start = (Fraction(start[0]), Fraction(start[1]))
-    if not t.is_interior(start):
-        raise StartNotInterior(f"{start} is not interior")
     gt = TerrainGraph(t)
-    return PlanarRoute(gt, graph_rv(gt, ("v1", start), label, limits))
+    return PlanarRoute(gt, graph_rv(gt, _start_node(t, start), label, limits))
+
+
+def geometric_routes(
+    t: Terrain, starts: Iterable[QPoint], labels: Iterable[int], limits: Limits
+) -> list[PlanarRoute]:
+    """Every agent's ``geometric_rv`` route, built by one ``RouteBuilder``
+    on one ``TerrainGraph``, so the agents share boundary arrivals, walks
+    and phase histories.  Each start is checked just before its route."""
+    gt = TerrainGraph(t)
+    builder = RouteBuilder(gt, limits)
+    return [
+        PlanarRoute(gt, builder.route(_start_node(t, start), label))
+        for start, label in zip(starts, labels)
+    ]
 
 
 def audit_planar_route(t: Terrain, route: PlanarRoute) -> None:
@@ -460,8 +478,7 @@ def approx_rendezvous(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    r1 = geometric_rv(t, start1, label1, limits)
-    r2 = geometric_rv(t, start2, label2, limits)
+    r1, r2 = geometric_routes(t, (start1, start2), (label1, label2), limits)
     report = verify_rendezvous(
         t, r1, r2, suite=DEFAULT_SUITE if suite is None else suite, seeds=seeds
     )

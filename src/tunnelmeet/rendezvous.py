@@ -7,8 +7,14 @@ sequence checks out (the walk succeeds and the observed entry ports
 match the reverse sequence), the agent extends its route with a
 simulation of the other agent's first ``k-1`` phases and a back-and-
 forth that forces the two routes to form a tunnel for that hypothesis.
-That simulation is a prefix of the partner's own route, so the builder
-keeps one phase history per ``(start, label)`` and looks it up there.
+That simulation is a prefix of the partner's own route.
+
+An agent's route depends only on its start, its label and the world, so
+``RouteBuilder`` builds every route of one world from shared parts: one
+decoded phase table, one walk per ``(start, ports)`` hypothesis and one
+phase history per ``(start, label)``, in which a simulation is a lookup.
+Both agents of a run are built by one builder; ``graph_rv`` is the
+one-shot form.
 
 Two routes form a tunnel when a prefix of one, read backward with every
 traversal reversed, is a prefix of the other; a tunnel certificate is a
@@ -57,52 +63,85 @@ class TunnelCertificate:
     n: int
 
 
-class _Builder:
-    """Per ``(start, label)``, a ``phase_stream`` iterator and ``ropes[k]``,
-    the rope after ``k`` phases.  Phase counts strictly decrease along the
-    recursion, so a run being extended is asked only for phases it holds."""
+class RouteBuilder:
+    """Every route of one world, built once: ``route(v, label)`` for any
+    number of agents, each up to ``limits.phase_cap`` phases.
+
+    Phase ``k``'s quadruple, a hypothesis walk from a start node and the
+    rope of a ``(start, label)`` run after ``k`` phases each depend only on
+    the world, so each is computed once per builder: ``quads[k]`` is drawn
+    from one ``phase_stream``, ``walks`` maps ``(v, ports)`` to the walk,
+    its reversal, its end node and its entry ports read backward (None when
+    a port is missing on the way), and ``runs[v, label][k]`` is the rope after
+    ``k`` phases.  A run only appends a finished phase within the budget,
+    so after a ``StepBudgetExceeded`` every run is still consistent and the
+    builder can be asked again.
+    """
 
     def __init__(self, g: PortLabeledGraph, limits: Limits):
         self.g = g
         self.limits = limits
+        self.quads = [None]
+        self._stream = phase_stream()
+        self.walks: dict = {}
         self.runs: dict = {}
 
-    def ropes(self, v: NodeHandle, label: int, phases: int) -> list:
-        """The run's ropes, extended until it holds ``phases`` phases."""
-        run = self.runs.get((v, label))
-        if run is None:
-            run = self.runs[v, label] = (phase_stream(), [_leaf(())])
-        stream, ropes = run
+    def route(self, v: NodeHandle, label: int) -> Route:
+        """Route of the recursion's first ``limits.phase_cap`` phases from
+        ``v``, with ``(k, length before phase k)`` marks."""
+        if label < 1:
+            raise ValueError("labels are positive integers")
+        cap = max(self.limits.phase_cap, 0)
+        ropes = self._ropes(v, label, cap)
+        marks = [(k, ropes[k - 1].length) for k in range(1, cap + 1)]
+        return Route(v, ropes[cap], marks)
+
+    def _ropes(self, v: NodeHandle, label: int, phases: int) -> list:
+        """The run's ropes, extended until it holds ``phases`` phases.
+        Phase counts strictly decrease along the recursion, so a run being
+        extended is asked only for phases it holds."""
+        ropes = self.runs.setdefault((v, label), [_leaf(())])
+        quads = self.quads
         while len(ropes) <= phases:
-            k, quad = next(stream)
-            ropes.append(self._phase(v, label, k, quad, ropes[-1]))
+            k = len(ropes)
+            while len(quads) <= k:
+                quads.append(next(self._stream)[1])
+            ropes.append(self._phase(v, label, k, quads[k], ropes[-1]))
         return ropes
 
+    def _walk(self, v: NodeHandle, ports: tuple) -> tuple:
+        walk = self.walks.get((v, ports))
+        if walk is None:
+            g = self.g
+            walked = []
+            cur = v
+            for port in ports:
+                if not g.is_port(cur, port):
+                    break
+                step = g.traverse(cur, port)
+                walked.append(step)
+                cur = step.v
+            entries = None
+            if len(walked) == len(ports):
+                entries = tuple(step.in_port for step in reversed(walked))
+            leaf = _leaf(tuple(walked))
+            walk = self.walks[v, ports] = (leaf, _rev(leaf), cur, entries)
+        return walk
+
     def _phase(self, v: NodeHandle, label: int, k: int, quad, root):
-        g = self.g
         if label == quad.i:
             s1, s2, other = quad.s_prime, quad.s_dprime, quad.j
         elif label == quad.j:
             s1, s2, other = quad.s_dprime, quad.s_prime, quad.i
         else:
             return root
-        walked = []
-        entries = []
-        cur = v
-        for port in s1:
-            if not g.is_port(cur, port):
-                break
-            step = g.traverse(cur, port)
-            walked.append(step)
-            entries.append(step.in_port)
-            cur = step.v
-        walk = _leaf(tuple(walked))
+        walk, back, end, entries = self._walk(v, s1)
         hist = root
         root = _cat(root, walk)
-        if len(walked) == len(s1) and s2 == tuple(reversed(entries)):
-            sim = self.ropes(cur, other, k - 1)[k - 1]
-            root = _cat(root, sim, _rev(walk), _rev(hist), walk, _rev(sim))
-        root = _cat(root, _rev(walk))
+        if s2 == entries:
+            sim = self._ropes(end, other, k - 1)[k - 1]
+            root = _cat(root, sim, back, _rev(hist), walk, _rev(sim))
+        root = _cat(root, back)
         length = root.length
         if length > self.limits.step_budget:
             raise StepBudgetExceeded(
@@ -110,6 +149,7 @@ class _Builder:
                 f"steps at phase {k}",
                 length,
                 k,
+                label,
             )
         return root
 
@@ -117,10 +157,12 @@ class _Builder:
 def graph_rv(
     g: PortLabeledGraph, v: NodeHandle, label: int, limits: Limits
 ) -> Route:
-    """Route of the recursion's first ``limits.phase_cap`` phases, standing
-    in for the algorithm's open-ended run, with ``(k, length before phase
-    k)`` marks.  A smaller cap gives the route the agent simulates for its
-    partner, a prefix of the longer one.
+    """One agent's route, ``RouteBuilder(g, limits).route(v, label)``: the
+    recursion's first ``limits.phase_cap`` phases, standing in for the
+    algorithm's open-ended run, with ``(k, length before phase k)`` marks.
+    A smaller cap gives the route the agent simulates for its partner, a
+    prefix of the longer one.  Callers that build both agents use one
+    ``RouteBuilder``.
 
     >>> from tunnelmeet.graph_model import build_finite_graph
     >>> k2 = build_finite_graph({"nodes": ["A", "B"],
@@ -129,12 +171,7 @@ def graph_rv(
     >>> r.length, r.phase_marks
     (6, [(1, 0), (2, 4), (3, 6)])
     """
-    if label < 1:
-        raise ValueError("labels are positive integers")
-    cap = max(limits.phase_cap, 0)
-    ropes = _Builder(g, limits).ropes(v, label, cap)
-    marks = [(k, ropes[k - 1].length) for k in range(1, cap + 1)]
-    return Route(v, ropes[cap], marks)
+    return RouteBuilder(g, limits).route(v, label)
 
 
 #: the scan reads windows of this many steps, then four times as many, ...

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -25,13 +26,16 @@ from .graph_model import EdgeTraversal, NodeHandle
 class StepBudgetExceeded(Exception):
     """Route construction would exceed the configured traversal budget.
 
-    ``length`` is the exact step count the route would have reached, and
-    ``phase`` the phase at which it crossed the budget."""
+    ``length`` is the exact step count the rope would have reached,
+    ``phase`` the phase at which it crossed the budget and ``label`` the
+    label of the run it belongs to: the requested agent's, or a simulated
+    partner's when the crossing happened inside a simulation."""
 
-    def __init__(self, message: str, length: int, phase: int):
+    def __init__(self, message: str, length: int, phase: int, label: int):
         super().__init__(message)
         self.length = length
         self.phase = phase
+        self.label = label
 
 
 class _Leaf:
@@ -263,8 +267,7 @@ def parse_route_dump(text: str) -> Route:
     Edge identity is reconstructed canonically from the two directed
     endpoints; lengths are not carried by the format and default to 1.
     """
-    from fractions import Fraction
-
+    one = Fraction(1)
     start = None
     steps = []
     marks = []
@@ -280,12 +283,9 @@ def parse_route_dump(text: str) -> Route:
                 start = parts[1]
             continue
         u, out_p, v, in_p = line.split("\t")
-        a = (u, int(out_p))
-        b = (v, int(in_p))
-        edge_id = (min(a, b), max(a, b))
-        steps.append(
-            EdgeTraversal(u, int(out_p), v, int(in_p), edge_id, Fraction(1))
-        )
+        out_p, in_p = int(out_p), int(in_p)
+        a, b = (u, out_p), (v, in_p)
+        steps.append(EdgeTraversal(u, out_p, v, in_p, (min(a, b), max(a, b)), one))
     if start is None:
         if not steps:
             raise ValueError("empty dump needs an explicit start node")

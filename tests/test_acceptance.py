@@ -40,11 +40,11 @@ from tunnelmeet.enumeration import (
 from tunnelmeet.geometry import (
     approx_rendezvous,
     audit_planar_route,
-    geometric_rv,
+    geometric_routes,
     terrain_from_json,
 )
 from tunnelmeet.graph_model import random_connected_graph
-from tunnelmeet.rendezvous import Limits, graph_rv, tunnel_check
+from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
 from tunnelmeet.routes import StepBudgetExceeded, route_from_steps
 
 STEP_BUDGET = 10**7
@@ -115,9 +115,9 @@ def corpus():
                 }
                 t0 = time.monotonic()
                 try:
-                    limits = Limits(k, STEP_BUDGET)
-                    r1 = graph_rv(g, v, i, limits)
-                    r2 = graph_rv(g, w, j, limits)
+                    builder = RouteBuilder(g, Limits(k, STEP_BUDGET))
+                    r1 = builder.route(v, i)
+                    r2 = builder.route(w, j)
                     cert = tunnel_check(r1, r2)
                     rec.update(routes=(r1, r2), cert=cert)
                 except StepBudgetExceeded as exc:
@@ -396,8 +396,7 @@ def geometric_corpus():
     for name in ("square", "lshape", "hole"):
         terrain, starts, labels, cap = _scenario_terrain(name)
         t0 = time.monotonic()
-        r1 = geometric_rv(terrain, starts[0], labels[0], Limits(cap, STEP_BUDGET))
-        r2 = geometric_rv(terrain, starts[1], labels[1], Limits(cap, STEP_BUDGET))
+        r1, r2 = geometric_routes(terrain, starts, labels, Limits(cap, STEP_BUDGET))
         report = verify_rendezvous(terrain, r1, r2, seeds=tuple(range(5)))
         out[name] = {
             "terrain": terrain,

@@ -13,6 +13,7 @@ from tunnelmeet.geometry import (
     approx_rendezvous,
     audit_planar_route,
     first_boundary_hit,
+    geometric_routes,
     geometric_rv,
     gt_target,
     gt_traverse,
@@ -138,6 +139,18 @@ def test_geometric_rv_requires_interior_start():
     sq = unit_square()
     with pytest.raises(StartNotInterior):
         geometric_rv(sq, (F(0), F(1, 2)), 1, Limits(1))
+
+
+def test_geometric_routes_match_geometric_rv_and_check_every_start():
+    sq = unit_square()
+    starts, labels = [(F(3, 16), F(1, 2)), (F(1, 2), F(1, 2))], [1, 2]
+    routes = geometric_routes(sq, starts, labels, Limits(6))
+    for route, start, label in zip(routes, starts, labels):
+        alone = geometric_rv(sq, start, label, Limits(6))
+        assert list(route.segments()) == list(alone.segments())
+        assert route.phase_marks == alone.phase_marks
+    with pytest.raises(StartNotInterior):
+        geometric_routes(sq, [starts[0], (F(1), F(1, 2))], labels, Limits(6))
 
 
 def test_geometric_route_bounces_and_stays_inside():

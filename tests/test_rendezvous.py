@@ -8,7 +8,7 @@ from conftest import c4, k2, p3, prefix, random_walk_route, true_quadruple
 from tunnelmeet import rendezvous
 from tunnelmeet.enumeration import Quadruple, phase_stream, phi_index
 from tunnelmeet.graph_model import generator, random_connected_graph
-from tunnelmeet.rendezvous import Limits, graph_rv, tunnel_check
+from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
 from tunnelmeet.routes import (
     StepBudgetExceeded,
     concat_routes,
@@ -313,29 +313,90 @@ def test_budget_error_inside_a_simulated_partner_run():
         graph_rv(c4(), "c", 1, Limits(400, step_budget=1000))
     exc = info.value
     assert str(exc) == "route for label 2 exceeds 1000 steps at phase 24"
-    assert (exc.length, exc.phase) == (1252, 24)
+    assert (exc.length, exc.phase, exc.label) == (1252, 24, 2)
+
+
+def _same_route(a, b):
+    assert a.start == b.start
+    assert list(a.steps()) == list(b.steps())
+    assert a.phase_marks == b.phase_marks
+
+
+@pytest.mark.parametrize(
+    "g,limits,failing,fitting",
+    [
+        (c4(), Limits(400, 1000), ("c", 1), ("c", 5)),
+        # the failing request extends the partner run (n0, 2) that the
+        # fitting one then reads
+        (random_connected_graph(5, 0), Limits(40, 10**4), ("n1", 1), ("n0", 2)),
+    ],
+)
+def test_builder_reused_after_a_budget_error(g, limits, failing, fitting):
+    builder = RouteBuilder(g, limits)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(StepBudgetExceeded) as info:
+            builder.route(*failing)
+        exc = info.value
+        errors.append((str(exc), exc.length, exc.phase, exc.label))
+    assert errors[0] == errors[1]
+    with pytest.raises(StepBudgetExceeded) as info:
+        graph_rv(g, *failing, limits)
+    fresh = info.value
+    assert errors[0] == (str(fresh), fresh.length, fresh.phase, fresh.label)
+    _same_route(builder.route(*fitting), graph_rv(g, *fitting, limits))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_builder_for_both_agents(seed):
+    g = random_connected_graph(5, seed)
+    v, w = random.Random(seed).sample(g.nodes, 2)
+    limits = Limits(40, 10**5)
+    builder = RouteBuilder(g, limits)
+    for start, label in ((v, 1), (w, 2)):
+        _same_route(builder.route(start, label), graph_rv(g, start, label, limits))
 
 
 @pytest.mark.parametrize(
     "g,start,cap", [(c4(), "a", 60), (random_connected_graph(5, 3), "n0", 200)]
 )
 def test_no_phase_is_replayed(monkeypatch, g, start, cap):
-    # one phase_stream per (start, label) run, each drawn at most cap
-    # times; the budget never fires, so every run goes as far as asked
+    # one phase_stream per graph_rv call, drawn once per phase; the budget
+    # never fires, so the recursion goes as far as asked
     draws = []
 
     def counted():
         draws.append(0)
-        n = len(draws) - 1
         for item in phase_stream():
-            draws[n] += 1
+            draws[-1] += 1
             yield item
 
     monkeypatch.setattr(rendezvous, "phase_stream", counted)
-    graph_rv(g, start, 1, Limits(cap, step_budget=10**30))
-    labels = max(max(q.i, q.j) for _, q in islice(phase_stream(), cap))
-    assert len(draws) <= len(g.nodes) * labels
-    assert sum(draws) <= cap * len(draws)
+    limits = Limits(cap, step_budget=10**30)
+    graph_rv(g, start, 1, limits)
+    assert draws == [cap]
+    # no (start, ports) walk is taken twice in one builder
+    traversed = []
+    traverse = type(g).traverse
+
+    def counted_traverse(self, u, port):
+        traversed.append((u, port))
+        return traverse(self, u, port)
+
+    def walked(v, ports):
+        n = 0
+        for port in ports:
+            if not g.is_port(v, port):
+                break
+            v = traverse(g, v, port).v
+            n += 1
+        return n
+
+    monkeypatch.setattr(type(g), "traverse", counted_traverse)
+    builder = RouteBuilder(g, limits)
+    builder.route(start, 1)
+    assert traversed
+    assert len(traversed) == sum(walked(v, ports) for v, ports in builder.walks)
 
 
 def test_routes_are_chained_and_use_confirmed_ports():
