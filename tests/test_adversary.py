@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -17,8 +18,14 @@ from tunnelmeet.adversary import (
     verify_rendezvous,
 )
 from tunnelmeet.graph_model import build_finite_graph, random_connected_graph
-from tunnelmeet.rendezvous import Limits, graph_rv
-from tunnelmeet.routes import Route, concat_routes, reverse_route, route_from_steps
+from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv
+from tunnelmeet.routes import (
+    Route,
+    StepBudgetExceeded,
+    concat_routes,
+    reverse_route,
+    route_from_steps,
+)
 
 
 def q(x, y=1):
@@ -300,3 +307,89 @@ def test_route_of_two_to_the_64_steps():
         g, r, partner, make_schedule("unit_speed", r, 0), make_schedule("unit_speed", partner, 0)
     )
     assert v.met and v.time == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Golden: verdicts on rational edge lengths and rational planar coordinates
+# ---------------------------------------------------------------------------
+
+_LENGTHS = ("1/2", "2/3", "5/4", "7/3", "3/5", "9/8")
+
+
+def _rational_world(seed):
+    """``random_connected_graph(3 + seed % 3, seed)`` with each edge's
+    length drawn from ``_LENGTHS``."""
+    base = random_connected_graph(3 + seed % 3, seed)
+    rng = random.Random(seed)
+    edges = {}
+    for u in base.nodes:
+        for p in base.ports(u):
+            st = base.traverse(u, p)
+            if st.edge_id not in edges:
+                edges[st.edge_id] = {
+                    "u": u, "pu": p, "v": st.v, "pv": st.in_port, "len": rng.choice(_LENGTHS)
+                }
+    return build_finite_graph({"nodes": base.nodes, "edges": [edges[e] for e in sorted(edges)]})
+
+
+def _random_walk(g, rng, n):
+    start = v = rng.choice(g.nodes)
+    steps = []
+    for _ in range(n):
+        st = g.traverse(v, rng.choice(g.ports(v)))
+        steps.append(st)
+        v = st.v
+    return route_from_steps(start, steps)
+
+
+def _rational_graph_pairs(worlds):
+    """Per world: both agents' routes at the true phase (skipped past 3,000
+    steps), then two short random walks."""
+    for seed in range(worlds):
+        g = _rational_world(seed)
+        rng = random.Random(seed)
+        v, w = rng.sample(g.nodes, 2)
+        k, _ = true_quadruple(g, v, w, 1, 2)
+        builder = RouteBuilder(g, Limits(k, 3000))
+        try:
+            yield g, builder.route(v, 1), builder.route(w, 2)
+        except StepBudgetExceeded:
+            pass
+        yield g, _random_walk(g, rng, rng.randint(2, 6)), _random_walk(g, rng, rng.randint(2, 6))
+
+
+def _rational_polyline_pairs(pairs):
+    """Polylines with coordinate denominators 1 to 6; a quarter of the
+    partners walk the first polyline backwards."""
+    rng = random.Random(7)
+
+    def polyline(n):
+        def point():
+            return (F(rng.randint(-6, 6), rng.randint(1, 6)), F(rng.randint(-6, 6), rng.randint(1, 6)))
+
+        pts = [point()]
+        while len(pts) < n + 1:
+            p = point()
+            if p != pts[-1]:
+                pts.append(p)
+        return pts
+
+    for _ in range(pairs):
+        pts1 = polyline(rng.randint(1, 5))
+        pts2 = pts1[::-1] if rng.random() < 0.25 else polyline(rng.randint(1, 5))
+        yield None, planar_route(pts1), planar_route(pts2)
+
+
+def test_rational_verdicts_golden():
+    # pinned before the sweep moved to integer arithmetic: 2,120 cells,
+    # 135 graph and 892 planar of them without a meeting
+    lines = []
+    worlds = [*_rational_graph_pairs(24), *_rational_polyline_pairs(60)]
+    for world, r1, r2 in worlds:
+        for cell in verify_rendezvous(world, r1, r2, seeds=range(4))["cells"]:
+            v = cell["verdict"]
+            lines.append(repr((v.met, v.time, v.location, v.min_distance_sq)))
+    assert len(lines) == 2120
+    assert sum(line.startswith("(False") for line in lines) == 135 + 892
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0478f16296813962ad9ad564f80bbdb134f49603d8473f1d34b30fd03b7305de"
