@@ -8,10 +8,24 @@ negative construction (at most one agent moves at any time).
 
 Meetings are decided exactly: the two schedules' breakpoints and the
 route step boundaries cut time into cells inside which both positions
-are affine, so the earliest coincidence is the root of a linear system
-in exact rational arithmetic.  Graph meetings count a shared node or a
-shared point inside an undirected edge; planar verdicts additionally
-carry the exact minimum of the squared distance over the horizon.
+are affine, so the earliest coincidence is the root of a linear system.
+Graph meetings count a shared node or a shared point inside an
+undirected edge; planar verdicts additionally carry the exact minimum of
+the squared distance over the horizon.
+
+The sweep runs on an integer lattice.  Let D be the lcm of the
+step-length denominators of both routes (1 on a terrain, whose steps
+have length 1).  Every schedule time is a multiple of 1/T with
+T = 840 * D, and every arc position a multiple of 1/A with A = 4 * D:
+``random_speeds`` spends a/b per step with a, b <= 8 (a multiple of
+1/840 = 1/lcm(1..8)), ``jitter`` a/b with a, b <= 4 (1/12),
+``alternating`` whole units, and ``unit_speed`` and ``frozen_prefix`` a
+step's length after an integer hold; arcs are sums of lengths plus 1/4
+or 3/4 of one.  The streaming checker scales each piece to ints once,
+the cells are decided by integer sign tests and cross-multiplication,
+and ``Fraction``s are built only for a verdict's time, location and
+``min_distance_sq``.  A piece off the lattice, which only a foreign
+schedule can yield, is a ``ScheduleMismatch``: nothing is rounded.
 
 Oracles that the verdict path does not call, kept so that tests can
 check the sweep independently: ``WalkSchedule.position_at``,
@@ -25,10 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Iterator
 
 _ZERO = Fraction(0)
+_QUARTER = Fraction(1, 4)
+_THREE_QUARTERS = Fraction(3, 4)
 
 
 class ScheduleMismatch(Exception):
@@ -67,13 +84,22 @@ def suite_from_names(names) -> tuple:
 class WalkSchedule:
     """Piecewise-linear walk on a route.
 
-    A route is anything with a step count ``length`` and a ``steps()``
-    iterator whose steps carry their arc ``length``: a graph ``Route``,
-    or a planar route viewed over one.  ``pieces()`` yields
+    A route is anything with a step count ``length``, a ``steps()``
+    iterator whose steps carry their arc ``length``, and ``length_den``,
+    the lcm of those lengths' denominators: a graph ``Route``, or a
+    planar route viewed over one.  ``pieces()`` yields
     ``(t0, t1, step_index, a0, a1)``: during ``[t0, t1]`` the arc position
     moves affinely from ``a0`` to ``a1``, staying within step
     ``step_index``.  Pieces are generated lazily so that long routes cost
     nothing until simulated.
+
+    Every value is a ``Fraction`` on the sweep's lattice: times are
+    multiples of 1/(840 * D) and arcs of 1/(4 * D), D being the lcm of the
+    route's step-length denominators.  ``random_speeds`` steps take a/b
+    with a, b <= 8 and ``jitter``'s three moves a/b with a, b <= 4, both
+    dividing 1/840; ``alternating`` steps take whole units; ``unit_speed``
+    and ``frozen_prefix`` take each step's length (after an integer hold);
+    ``jitter`` turns at 1/4 and 3/4 of a step's length.
     """
 
     route: object
@@ -91,34 +117,36 @@ class WalkSchedule:
             t = hold
         for m, step in enumerate(self.route.steps()):
             length = step.length
+            end = arc + length
             if strat in ("unit_speed", "frozen_prefix"):
-                yield (t, t + length, m, arc, arc + length)
-                t += length
+                t1 = t + length
+                yield (t, t1, m, arc, end)
             elif strat == "alternating-first":
-                yield (t, t + 1, m, arc, arc + length)
-                yield (t + 1, t + 2, m, arc + length, arc + length)
-                t += 2
+                mid, t1 = t + 1, t + 2
+                yield (t, mid, m, arc, end)
+                yield (mid, t1, m, end, end)
             elif strat == "alternating-second":
-                yield (t, t + 1, m, arc, arc)
-                yield (t + 1, t + 2, m, arc, arc + length)
-                t += 2
+                mid, t1 = t + 1, t + 2
+                yield (t, mid, m, arc, arc)
+                yield (mid, t1, m, arc, end)
             elif strat == "random_speeds":
-                d = Fraction(rng.randint(1, 8), rng.randint(1, 8))
-                yield (t, t + d, m, arc, arc + length)
-                t += d
+                t1 = t + Fraction(rng.randint(1, 8), rng.randint(1, 8))
+                yield (t, t1, m, arc, end)
             elif strat == "jitter":
                 d1 = Fraction(rng.randint(1, 4), rng.randint(1, 4))
                 d2 = Fraction(rng.randint(1, 4), rng.randint(1, 4))
                 d3 = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-                fwd = arc + Fraction(3, 4) * length
-                back = arc + Fraction(1, 4) * length
-                yield (t, t + d1, m, arc, fwd)
-                yield (t + d1, t + d1 + d2, m, fwd, back)
-                yield (t + d1 + d2, t + d1 + d2 + d3, m, back, arc + length)
-                t += d1 + d2 + d3
+                fwd = arc + _THREE_QUARTERS * length
+                back = arc + _QUARTER * length
+                ta = t + d1
+                tb = ta + d2
+                t1 = tb + d3
+                yield (t, ta, m, arc, fwd)
+                yield (ta, tb, m, fwd, back)
+                yield (tb, t1, m, back, end)
             else:
                 raise ValueError(f"unknown strategy {self.strategy!r}")
-            arc += length
+            t, arc = t1, end
 
     def breakpoints(self) -> list[tuple[Fraction, Fraction]]:
         """Explicit (time, arc position) breakpoints (materializes)."""
@@ -156,24 +184,54 @@ def make_schedule(strategy: str, route, seed: int = 0) -> WalkSchedule:
     return WalkSchedule(route, strategy, seed)
 
 
-def _checked_pieces(route, schedule: WalkSchedule):
-    """Stream ``(t0, t1, m, a0, a1, step, lo)``: each schedule piece with
-    its route step and that step's start arc ``lo``.
+def _on_lattice(x, scale: int, what: str) -> int:
+    """``x * scale`` as an int; a value off the lattice is a mismatch."""
+    try:
+        n, r = divmod(x.numerator * scale, x.denominator)
+    except AttributeError:  # not a rational
+        r = 1
+    if r:
+        raise ScheduleMismatch(f"{what} {x} is off the schedule lattice 1/{scale}")
+    return n
+
+
+def _lattice(*walks) -> tuple[int, int]:
+    """The time and arc scales ``(840 * D, 4 * D)`` of ``(route,
+    schedule)`` pairs, D being the lcm of the routes' step-length
+    denominators, once each schedule is checked to be built for its
+    route."""
+    for route, schedule in walks:
+        if getattr(schedule, "route", route) is not route:
+            raise ScheduleMismatch("schedule was built for a different route")
+    d = lcm(*(route.length_den for route, _ in walks))
+    return 840 * d, 4 * d
+
+
+def _checked_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
+    """Stream ``(t0, t1, m, o0, o1, step, length)`` on the lattice: each
+    schedule piece's times scaled by ``tscale``, its arc positions as
+    offsets into step ``m`` scaled by ``ascale``, the route step and that
+    step's scaled arc ``length``, all ints.
 
     The walk invariants are enforced as the pieces stream, so that a
-    violation surfaces before it can corrupt a verdict: the walk starts
-    at time 0 and position 0, is continuous, time never decreases, the
-    step index never decreases, and the position stays inside the step's
-    arc interval.  A route without steps has one position, its start: a
-    piece on it names step 0, has the arc interval [0, 0] and step None.
+    violation surfaces before it can corrupt a verdict: every value lies
+    on the lattice, the walk starts at time 0 and position 0, is
+    continuous, time never decreases, the step index never decreases, and
+    the position stays inside the step's arc interval.  A route without
+    steps has one position, its start: a piece on it names step 0, has
+    the arc interval [0, 0] and step None.
     """
     n_steps = route.length
     steps = route.steps()
     step = None
     cur = -1  # index of `step`
-    lo = hi = _ZERO
+    lo = hi = 0
     prev_t = prev_a = None
     for t0, t1, m, a0, a1 in schedule.pieces():
+        t0 = _on_lattice(t0, tscale, "time")
+        t1 = _on_lattice(t1, tscale, "time")
+        a0 = _on_lattice(a0, ascale, "arc")
+        a1 = _on_lattice(a1, ascale, "arc")
         if prev_t is None:
             if t0 != 0 or a0 != 0:
                 raise ScheduleMismatch("walk must start at time 0, position 0")
@@ -188,31 +246,33 @@ def _checked_pieces(route, schedule: WalkSchedule):
         while cur < m:
             step = next(steps, None)
             lo = hi
-            hi = lo if step is None else lo + step.length
+            if step is not None:
+                hi = lo + _on_lattice(step.length, ascale, "step length")
             cur += 1
         if min(a0, a1) < lo or max(a0, a1) > hi:
             raise ScheduleMismatch(f"position leaves step {m} arc interval")
         prev_t, prev_a = t1, a1
-        yield t0, t1, m, a0, a1, step, lo
+        yield t0, t1, m, a0 - lo, a1 - lo, step, hi - lo
 
 
 def validate_schedule(route, schedule: WalkSchedule) -> None:
-    """Check the walk invariants of ``_checked_pieces`` over the whole
-    schedule, and that the walk covers every step of the route.
+    """Check that the schedule was built for the route, the walk
+    invariants of ``_checked_pieces`` over the whole schedule, and that
+    the walk covers every step of the route.
 
     Raises ScheduleMismatch on the first violation.
     """
+    scales = _lattice((route, schedule))
     covered = -1
-    a1 = hi = None
-    for _, _, m, _, a1, step, lo in _checked_pieces(route, schedule):
-        hi = lo if step is None else lo + step.length
-        if step is not None and a1 == hi:
+    o1 = length = None
+    for _, _, m, _, o1, step, length in _checked_pieces(route, schedule, *scales):
+        if step is not None and o1 == length:
             covered = m
-    if a1 is None:
+    if o1 is None:
         if route.length:
             raise ScheduleMismatch("empty schedule for a non-empty route")
         return
-    if covered != route.length - 1 or a1 != hi:
+    if covered != route.length - 1 or o1 != length:
         raise ScheduleMismatch("walk does not cover the whole route")
 
 
@@ -236,99 +296,101 @@ class MeetingVerdict:
 
 
 class _GraphPiece:
-    """A schedule piece located on one edge, offsets canonicalized."""
+    """A schedule piece located on one edge, offsets canonicalized.
 
-    __slots__ = ("t0", "t1", "o0", "o1", "length", "edge", "node_lo", "node_hi")
+    On the lattice the offset at time t is ``(slope * t + base) / dur``
+    over ``[t0, t1]``; ``length`` is the edge's scaled length.
+    """
+
+    __slots__ = ("t0", "t1", "slope", "base", "dur", "length", "edge", "node_lo", "node_hi")
 
     def __init__(self, t0, t1, o0, o1, length, edge, node_lo, node_hi):
         self.t0 = t0
         self.t1 = t1
-        self.o0 = o0
-        self.o1 = o1
+        self.dur = dur = t1 - t0 or 1  # a zero-duration piece does not move
+        self.slope = o1 - o0
+        self.base = o0 * dur - self.slope * t0
         self.length = length
         self.edge = edge
         self.node_lo = node_lo  # node at canonical offset 0
         self.node_hi = node_hi  # node at canonical offset `length`
 
-    def affine(self, lo, hi):
-        """(slope, value at lo) of the offset over [lo, hi] within the piece."""
-        if self.t1 == self.t0:
-            return _ZERO, self.o1
-        slope = (self.o1 - self.o0) / (self.t1 - self.t0)
-        return slope, self.o0 + slope * (lo - self.t0)
-
-    def point(self, t):
-        if self.t1 == self.t0:
-            off = self.o1
-        else:
-            off = self.o0 + (self.o1 - self.o0) * (t - self.t0) / (self.t1 - self.t0)
-        if off == 0:
-            return ("node", self.node_lo)
-        if off == self.length:
-            return ("node", self.node_hi)
-        return ("edge", self.edge, off)
-
-    def node_offset(self, node):
-        """Canonical offset of a node handle on this piece's edge, or None."""
-        if node == self.node_lo:
-            return _ZERO
-        if node == self.node_hi:
-            return self.length
+    def node_at(self, n, d):
+        """The node at offset ``n / d``, or None inside the edge."""
+        if n == 0:
+            return self.node_lo
+        if n == self.length * d:
+            return self.node_hi
         return None
 
 
-def _graph_pieces(route, schedule: WalkSchedule, canon: dict):
-    for t0, t1, m, a0, a1, tr, lo in _checked_pieces(route, schedule):
+def _graph_pieces(route, schedule: WalkSchedule, canon: dict, tscale: int, ascale: int):
+    for t0, t1, _, o0, o1, tr, length in _checked_pieces(route, schedule, tscale, ascale):
         if tr is None:  # parked at the start of an empty route
-            yield _GraphPiece(t0, t1, _ZERO, _ZERO, _ZERO, None, route.start, route.start)
+            yield _GraphPiece(t0, t1, 0, 0, 0, None, route.start, route.start)
             continue
-        length = tr.length
         fwd = canon.setdefault(tr.edge_id, (tr.u, tr.out_port))
         if (tr.u, tr.out_port) == fwd:
-            o0, o1 = a0 - lo, a1 - lo
-            node_lo, node_hi = tr.u, tr.v
+            yield _GraphPiece(t0, t1, o0, o1, length, tr.edge_id, tr.u, tr.v)
         else:
-            o0, o1 = length - (a0 - lo), length - (a1 - lo)
-            node_lo, node_hi = tr.v, tr.u
-        yield _GraphPiece(t0, t1, o0, o1, length, tr.edge_id, node_lo, node_hi)
+            yield _GraphPiece(t0, t1, length - o0, length - o1, length, tr.edge_id, tr.v, tr.u)
 
 
-def _graph_cell(p1: _GraphPiece, p2: _GraphPiece, t0, t1):
-    """Earliest meeting inside one refined cell, or None."""
-    loc1 = p1.point(t0)
-    loc2 = p2.point(t0)
-    if loc1 == loc2:
-        return t0, loc1
-    s1, o1 = p1.affine(t0, t1)
-    s2, o2 = p2.affine(t0, t1)
+def _same_point(p1, n1, d1, p2, n2, d2) -> bool:
+    """Whether offset ``n1 / d1`` on p1's edge and ``n2 / d2`` on p2's
+    are one point of the graph."""
+    v1 = p1.node_at(n1, d1)
+    v2 = p2.node_at(n2, d2)
+    if v1 is not None or v2 is not None:
+        return v1 == v2
+    return p1.edge == p2.edge and n1 * d2 == n2 * d1
+
+
+def _graph_cell(p1: _GraphPiece, p2: _GraphPiece, c0, c1):
+    """Earliest meeting inside one refined cell, or None.
+
+    A meeting is ``(tn, td, p, n, d)``: at lattice time ``tn / td``, the
+    point at offset ``n / d`` on piece p's edge.
+    """
+    n1, d1 = p1.slope * c0 + p1.base, p1.dur
+    n2, d2 = p2.slope * c0 + p2.base, p2.dur
+    if _same_point(p1, n1, d1, p2, n2, d2):
+        return c0, 1, p1, n1, d1
     if p1.edge == p2.edge:
-        ds = s1 - s2
-        if ds == 0:
+        # the offsets' difference is (k * t + e) / (d1 * d2)
+        k = p1.slope * d2 - p2.slope * d1
+        if k == 0:
             return None  # constant nonzero gap on the shared edge
-        t = t0 + (o2 - o1) / ds
-        if t0 <= t <= t1:
-            return t, p1.point(t)
+        e = p1.base * d2 - p2.base * d1
+        if k < 0:
+            k, e = -k, -e
+        if c0 * k <= -e <= c1 * k:
+            return -e, k, p1, p1.base * k - p1.slope * e, k * d1
         return None
     # Different edges: a mid-cell meeting needs one agent parked exactly
     # on a node of the other's edge (a moving affine offset touches a
-    # node value only at cell boundaries, which the t0 check covers).
-    for parked, ps, moving, ms, mo in ((p1, s1, p2, s2, o2), (p2, s2, p1, s1, o1)):
-        if ps != 0 or ms == 0:
+    # node value only at cell boundaries, which the c0 check covers).
+    for parked, n, d, moving in ((p1, n1, d1, p2), (p2, n2, d2, p1)):
+        if parked.slope != 0 or moving.slope == 0:
             continue
-        loc = parked.point(t0)
-        if loc[0] != "node":
+        node = parked.node_at(n, d)
+        if node == moving.node_lo:
+            target = 0
+        elif node == moving.node_hi:
+            target = moving.length
+        else:
             continue
-        target = moving.node_offset(loc[1])
-        if target is None:
-            continue
-        t = t0 + (target - mo) / ms
-        if t0 <= t <= t1:
-            return t, loc
+        # slope * t + base = target * dur
+        k, tn = moving.slope, target * moving.dur - moving.base
+        if k < 0:
+            k, tn = -k, -tn
+        if c0 * k <= tn <= c1 * k:
+            return tn, k, parked, n, d
     # both moving onto a shared node exactly at the cell end (relevant at
-    # the horizon's final instant; interior cell ends re-check as next t0)
-    loc1 = p1.point(t1)
-    if loc1 == p2.point(t1):
-        return t1, loc1
+    # the horizon's final instant; interior cell ends re-check as next c0)
+    n1 = p1.slope * c1 + p1.base
+    if _same_point(p1, n1, d1, p2, p2.slope * c1 + p2.base, d2):
+        return c1, 1, p1, n1, d1
     return None
 
 
@@ -361,15 +423,19 @@ def detect_meeting_graph(g, r1, r2, w1: WalkSchedule, w2: WalkSchedule) -> Meeti
     the same undirected edge.  The scan stops at the common horizon (the
     earlier schedule end); the graph case reports met/not met only.
     """
-    if getattr(w1, "route", r1) is not r1 or getattr(w2, "route", r2) is not r2:
-        raise ScheduleMismatch("schedule was built for a different route")
+    tscale, ascale = _lattice((r1, w1), (r2, w2))
     canon: dict = {}
     hit = _sweep(
-        _graph_pieces(r1, w1, canon), _graph_pieces(r2, w2, canon), _graph_cell
+        _graph_pieces(r1, w1, canon, tscale, ascale),
+        _graph_pieces(r2, w2, canon, tscale, ascale),
+        _graph_cell,
     )
     if hit is None:
         return MeetingVerdict(False)
-    return MeetingVerdict(True, hit[0], hit[1])
+    tn, td, p, n, d = hit
+    node = p.node_at(n, d)
+    loc = ("edge", p.edge, Fraction(n, d * ascale)) if node is None else ("node", node)
+    return MeetingVerdict(True, Fraction(tn, td * tscale), loc)
 
 
 # ---------------------------------------------------------------------------
@@ -377,86 +443,119 @@ def detect_meeting_graph(g, r1, r2, w1: WalkSchedule, w2: WalkSchedule) -> Meeti
 # ---------------------------------------------------------------------------
 
 class _PlanarPiece:
-    __slots__ = ("t0", "t1", "x0", "y0", "vx", "vy")
+    """On the lattice the position at time t is
+    ``((x0 + vx * (t - t0)) / den, (y0 + vy * (t - t0)) / den)``."""
 
-    def __init__(self, t0, t1, x0, y0, vx, vy):
+    __slots__ = ("t0", "t1", "x0", "y0", "vx", "vy", "den")
+
+    def __init__(self, t0, t1, x0, y0, vx, vy, den):
         self.t0 = t0
         self.t1 = t1
         self.x0 = x0  # position at t0
         self.y0 = y0
-        self.vx = vx  # velocity (per unit time)
+        self.vx = vx  # velocity per lattice time unit
         self.vy = vy
+        self.den = den
 
-    def point(self, t):
-        dt = t - self.t0
-        return (self.x0 + self.vx * dt, self.y0 + self.vy * dt)
+    def point(self, tn, td):
+        """The exact point at lattice time ``tn / td``."""
+        dt = tn - self.t0 * td
+        den = self.den * td
+        return (
+            Fraction(self.x0 * td + self.vx * dt, den),
+            Fraction(self.y0 * td + self.vy * dt, den),
+        )
 
 
-def _planar_pieces(route, schedule: WalkSchedule):
-    for t0, t1, m, a0, a1, step, lo in _checked_pieces(route, schedule):
-        if step is None:  # parked at the start of an empty route
-            yield _PlanarPiece(t0, t1, *route.start, _ZERO, _ZERO)
-            continue
-        (sx, sy), (ex, ey), _ = route.embed(step)
-        tau0 = (a0 - lo) / step.length
-        tau1 = (a1 - lo) / step.length
-        x0 = sx + tau0 * (ex - sx)
-        y0 = sy + tau0 * (ey - sy)
-        if t1 == t0:
-            vx = vy = _ZERO
-        else:
-            rate = (tau1 - tau0) / (t1 - t0)
-            vx = rate * (ex - sx)
-            vy = rate * (ey - sy)
-        yield _PlanarPiece(t0, t1, x0, y0, vx, vy)
+def _scaled_segment(start, end):
+    """``(sx, sy, dx, dy, q)``: a segment's start and direction as ints
+    over the lcm ``q`` of its coordinates' denominators."""
+    (sx, sy), (ex, ey) = start, end
+    q = lcm(sx.denominator, sy.denominator, ex.denominator, ey.denominator)
+    sx, sy = sx.numerator * (q // sx.denominator), sy.numerator * (q // sy.denominator)
+    ex, ey = ex.numerator * (q // ex.denominator), ey.numerator * (q // ey.denominator)
+    return sx, sy, ex - sx, ey - sy, q
+
+
+def _planar_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
+    step = seg = None
+    for t0, t1, _, o0, o1, tr, length in _checked_pieces(route, schedule, tscale, ascale):
+        if tr is None:  # parked at the start of an empty route
+            seg, length = _scaled_segment(route.start, route.start), 1
+        elif tr is not step:
+            seg = _scaled_segment(*route.embed(tr)[:2])
+        step = tr
+        sx, sy, dx, dy, q = seg
+        # x(t) = sx + (o(t) / length) * dx, the offset o affine from o0 to o1
+        dur = t1 - t0 or 1  # a zero-duration piece does not move
+        yield _PlanarPiece(
+            t0,
+            t1,
+            sx * length * dur + o0 * dur * dx,
+            sy * length * dur + o0 * dur * dy,
+            (o1 - o0) * dx,
+            (o1 - o0) * dy,
+            q * length * dur,
+        )
 
 
 def detect_meeting_planar(r1, r2, w1: WalkSchedule, w2: WalkSchedule) -> MeetingVerdict:
     """Earliest exact coincidence of two planar walks, plus the exact
     minimum squared distance over the common horizon when they never
     coincide."""
-    best_sq: list = [None]
+    tscale, ascale = _lattice((r1, w1), (r2, w2))
+    best = [None, 1]  # least squared gap seen, as numerator and denominator
 
-    def cell(p1: _PlanarPiece, p2: _PlanarPiece, t0, t1):
-        # relative motion at cell start
-        x1, y1 = p1.point(t0)
-        x2, y2 = p2.point(t0)
-        bx, by = x1 - x2, y1 - y2
-        ax, ay = p1.vx - p2.vx, p1.vy - p2.vy
-        # meeting: bx + ax*dt = 0 and by + ay*dt = 0 for dt in [0, t1-t0]
-        span = t1 - t0
+    def cell(p1: _PlanarPiece, p2: _PlanarPiece, c0, c1):
+        # relative position b and velocity a at the cell start, over q1 * q2
+        q1, q2 = p1.den, p2.den
+        bx = (p1.x0 + p1.vx * (c0 - p1.t0)) * q2 - (p2.x0 + p2.vx * (c0 - p2.t0)) * q1
+        by = (p1.y0 + p1.vy * (c0 - p1.t0)) * q2 - (p2.y0 + p2.vy * (c0 - p2.t0)) * q1
+        ax = p1.vx * q2 - p2.vx * q1
+        ay = p1.vy * q2 - p2.vy * q1
+        span = c1 - c0
         if ax == 0 and ay == 0:
             if bx == 0 and by == 0:
-                return t0, (x1, y1)
-            _track_min(best_sq, bx * bx + by * by)
-            return None
-        if ax != 0:
-            dt = -bx / ax
-            consistent = by + ay * dt == 0
+                return c0, 1, p1
+            num, den = bx * bx + by * by, 1
         else:
-            dt = -by / ay
-            consistent = bx + ax * dt == 0
-        if consistent and 0 <= dt <= span:
-            t = t0 + dt
-            return t, p1.point(t)
-        # squared gap is quadratic in dt; minimum at the vertex or ends
-        a2 = ax * ax + ay * ay
-        for dt_c in (_ZERO, span, -(ax * bx + ay * by) / a2):
-            if 0 <= dt_c <= span:
-                gx = bx + ax * dt_c
-                gy = by + ay * dt_c
-                _track_min(best_sq, gx * gx + gy * gy)
+            # meeting: b + a * dt = 0 for dt in [0, span]
+            cross = ax * by - ay * bx
+            if cross == 0:
+                n, d = (-bx, ax) if ax != 0 else (-by, ay)
+                if d < 0:
+                    n, d = -n, -d
+                if 0 <= n <= span * d:
+                    return c0 * d + n, d, p1
+            # squared gap is convex in dt: least at the vertex -(a.b)/|a|^2
+            # when it lies in the cell (cross^2/|a|^2 by Lagrange's
+            # identity), else at the nearer end
+            dot = ax * bx + ay * by
+            a2 = ax * ax + ay * ay
+            if dot >= 0:
+                num, den = bx * bx + by * by, 1
+            elif -dot >= span * a2:
+                gx, gy = bx + ax * span, by + ay * span
+                num, den = gx * gx + gy * gy, 1
+            else:
+                num, den = cross * cross, a2
+        qq = q1 * q2
+        den *= qq * qq
+        if best[0] is None or num * best[1] < best[0] * den:
+            best[0], best[1] = num, den
         return None
 
-    hit = _sweep(_planar_pieces(r1, w1), _planar_pieces(r2, w2), cell)
+    hit = _sweep(
+        _planar_pieces(r1, w1, tscale, ascale), _planar_pieces(r2, w2, tscale, ascale), cell
+    )
     if hit is not None:
-        return MeetingVerdict(True, hit[0], hit[1], min_distance_sq=_ZERO)
-    return MeetingVerdict(False, min_distance_sq=best_sq[0])
-
-
-def _track_min(holder, value):
-    if holder[0] is None or value < holder[0]:
-        holder[0] = value
+        tn, td, p = hit
+        return MeetingVerdict(
+            True, Fraction(tn, td * tscale), p.point(tn, td), min_distance_sq=_ZERO
+        )
+    if best[0] is None:
+        return MeetingVerdict(False)
+    return MeetingVerdict(False, min_distance_sq=Fraction(best[0], best[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,10 @@ class PlanarRoute:
     graph: TerrainGraph
     route: Route
 
+    #: lcm of the step lengths' denominators (``Route.length_den``):
+    #: terrain steps have length 1
+    length_den = 1
+
     @property
     def start(self) -> QPoint:
         return self.route.start[1]

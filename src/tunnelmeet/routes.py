@@ -17,6 +17,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -132,6 +134,25 @@ class Route:
     @property
     def end(self) -> NodeHandle:
         return self.node_after(self.length)
+
+    @cached_property
+    def length_den(self) -> int:
+        """lcm of the step lengths' denominators, read once per distinct
+        rope node: every arc position of the route is a multiple of
+        ``1 / (4 * length_den)`` under the adversary's schedules."""
+        den = 1
+        seen = {id(self._root)}
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Leaf):
+                den = lcm(den, *(s.length.denominator for s in node.steps))
+                continue
+            for kid in (node.kid,) if isinstance(node, _Rev) else node.kids:
+                if id(kid) not in seen:
+                    seen.add(id(kid))
+                    stack.append(kid)
+        return den
 
     def node_after(self, i: int) -> NodeHandle:
         """Node reached after the first ``i`` steps."""

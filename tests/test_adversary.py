@@ -204,6 +204,79 @@ def test_detect_rejects_invalid_schedule_mid_stream():
         detect_meeting_graph(g, r1, r2, Broken(), make_schedule("unit_speed", r2, 0))
 
 
+
+def test_both_sweeps_reject_a_schedule_of_another_route():
+    g = k2()
+    r1 = route_from_steps("A", [g.traverse("A", 1)])
+    r2 = route_from_steps("B", [g.traverse("B", 1)])
+    with pytest.raises(ScheduleMismatch, match="different route"):
+        detect_meeting_graph(
+            g, r1, r2, make_schedule("unit_speed", r2, 0), make_schedule("unit_speed", r2, 0)
+        )
+    p1 = planar_route([(q(0), q(0)), (q(1), q(0))])
+    p2 = planar_route([(q(5), q(5)), (q(6), q(5))])
+    with pytest.raises(ScheduleMismatch, match="different route"):
+        detect_meeting_planar(
+            p1, p2, make_schedule("unit_speed", p2, 0), make_schedule("unit_speed", p2, 0)
+        )
+
+
+def test_off_lattice_piece_is_rejected_not_rounded():
+    # schedule times live on multiples of 1/840 (times D), arcs on 1/4
+    g = k2()
+    r1 = route_from_steps("A", [g.traverse("A", 1)])
+    r2 = route_from_steps("B", [g.traverse("B", 1)])
+    p1 = planar_route([(q(0), q(0)), (q(1), q(0))])
+    p2 = planar_route([(q(1), q(0)), (q(0), q(0))])
+
+    def foreign(route, *pieces):
+        class Foreign:
+            def pieces(self):
+                return iter(pieces)
+
+        schedule = Foreign()
+        schedule.route = route
+        return schedule
+
+    off_time = (F(0), F(1, 11), 0, F(0), F(1))
+    with pytest.raises(ScheduleMismatch, match="time 1/11 is off"):
+        detect_meeting_graph(g, r1, r2, foreign(r1, off_time), make_schedule("unit_speed", r2, 0))
+    with pytest.raises(ScheduleMismatch, match="time 1/11 is off"):
+        detect_meeting_planar(p1, p2, foreign(p1, off_time), make_schedule("unit_speed", p2, 0))
+    with pytest.raises(ScheduleMismatch, match="time 1/11 is off"):
+        validate_schedule(r1, foreign(r1, off_time))
+    off_arc = (F(0), F(1), 0, F(0), F(1, 3))
+    with pytest.raises(ScheduleMismatch, match="arc 1/3 is off"):
+        validate_schedule(r1, foreign(r1, off_arc))
+    # the same walk on the lattice is accepted
+    validate_schedule(
+        r1, foreign(r1, (F(0), F(1, 840), 0, F(0), F(1, 4)), (F(1, 840), F(1), 0, F(1, 4), F(1)))
+    )
+
+
+def test_length_den_is_the_lcm_over_the_rope():
+    g = build_finite_graph(
+        {
+            "nodes": ["a", "b", "c"],
+            "edges": [
+                {"u": "a", "pu": 1, "v": "b", "pv": 1, "len": "2/3"},
+                {"u": "b", "pu": 2, "v": "c", "pv": 1, "len": "5/4"},
+            ],
+        }
+    )
+    ab = route_from_steps("a", [g.traverse("a", 1)])
+    bc = route_from_steps("b", [g.traverse("b", 2)])
+    assert ab.length_den == 3 and Route("a").length_den == 1
+    r = concat_routes(ab, bc, reverse_route(bc))
+    assert r.length_den == 12
+    # a sweep on that lattice, checked by substitution
+    rr = reverse_route(r)
+    w1, w2 = make_schedule("jitter", r, 0), make_schedule("random_speeds", rr, 1)
+    v = detect_meeting_graph(g, r, rr, w1, w2)
+    assert v.met
+    assert graph_point_at(r, w1.position_at(v.time)) == graph_point_at(rr, w2.position_at(v.time))
+
+
 def test_translated_route_pair_keeps_translation_gap():
     # a route and its image under a small translation stay exactly that
     # far apart under identical schedules
