@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -184,3 +186,30 @@ def test_golden_file_pins_the_enumeration():
         f"({format_rational(p.q1)},{format_rational(p.q2)})"
         for p in (rational_pair(k) for k in range(1, 65))
     ]
+
+
+def test_order_golden_pins_stream_rank_and_unrank():
+    # SHA-256 of the enum-v1 order past the 64-entry head: a mistake that
+    # phi and phi_index made consistently would pass every round trip.
+    from tunnelmeet.cli import _format_quadruple
+
+    stream = hashlib.sha256()
+    for k, q in islice(phase_stream(), 50_000):  # weights 5 to 19
+        stream.update(f"{k}\t{_format_quadruple(q)}\n".encode())
+        if k % 997 == 1:
+            assert phi_index(q) == k
+    assert stream.hexdigest() == (
+        "d5b3fd9feb4fc00d66423a6b6e89c96372e39fae7f1b59ae80ef896087f712e1"
+    )
+    rng = random.Random(2011)
+    heavy = hashlib.sha256()
+    for _ in range(60):  # labels up to 10, n up to 6, ports up to 9
+        i = rng.randint(1, 9)
+        j = rng.randint(i + 1, 10)
+        n = rng.randint(1, 6)
+        ports = [tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(2)]
+        k = phi_index(Quadruple(i, j, *ports))
+        heavy.update(f"{k}\t{_format_quadruple(phi(k))}\n".encode())
+    assert heavy.hexdigest() == (
+        "77c3e5d5d5495fdafc2ac722514bfb3b4c02a7aad2bb2fe1ef36b0e60dc827d4"
+    )
