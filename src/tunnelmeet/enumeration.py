@@ -26,12 +26,23 @@ The route builder reads only ``phase_stream``, and terrain ports use
 ``seq_encode``/``seq_decode`` are oracles: the acceptance tests check
 the bijections with them, and ``phi_index`` names the phase at which a
 world's true hypothesis comes up.
+
+The order within a weight class is written once, in ``_blocks``, and
+``phi``, ``phi_index`` and ``phase_stream`` all walk it.  Module-level
+caches hold only pure functions of small ints, never world data: label
+pairs per budget (``_label_pairs``), one class start per weight
+(``_CLASS_STARTS``) and the composition tuples ``phase_stream`` reads
+(``_compositions``).  Blocks are not cached: heavy round trips reach
+weights near 200, where caching each block costs tens of MiB.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, count
 from math import comb, gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -148,15 +159,11 @@ def label_weight(label: int) -> int:
 
 
 def quadruple_weight(q: Quadruple) -> int:
-    return (
-        label_weight(q.i)
-        + label_weight(q.j)
-        + sum(q.s_prime)
-        + sum(q.s_dprime)
-    )
+    return label_weight(q.i) + label_weight(q.j) + sum(q.s_prime + q.s_dprime)
 
 
-def _label_pairs_up_to(budget: int) -> list[tuple[int, int, int]]:
+@cache
+def _label_pairs(budget: int) -> tuple[tuple[int, int, int], ...]:
     """All (B, i, j) with b(i)+b(j) = B <= budget, sorted by (B, i)."""
     pairs = []
     i = 1
@@ -166,23 +173,46 @@ def _label_pairs_up_to(budget: int) -> list[tuple[int, int, int]]:
             pairs.append((label_weight(i) + label_weight(j), i, j))
             j += 1
         i += 1
-    pairs.sort()
-    return pairs
+    return tuple(sorted(pairs))
 
 
-def _seq_pair_count(m: int) -> int:
-    """Number of pairs of equal-length positive sequences with total sum m.
+def _blocks(w: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Weight class w as blocks ``(i, j, m, n, size)`` in the frozen order.
 
-    Equals sum over n of C(m-1, 2n-1) = 2**(m-2) for m >= 2.
+    Label pairs come by (b(i)+b(j), i), then sequence length n.  A block
+    holds the ``size = C(m-1, 2n-1)`` quadruples whose joint tuple
+    ``s' + s''`` is a composition of ``m = w - b(i) - b(j)`` into 2n
+    parts, in lexicographic order.  This is the only place the order
+    within a class is written.
     """
-    if m < 2:
-        return 0
-    return 1 << (m - 2)
+    for B, i, j in _label_pairs(w - 2):
+        m = w - B
+        for n in range(1, m // 2 + 1):
+            yield i, j, m, n, comb(m - 1, 2 * n - 1)
 
 
-def _class_size(w: int) -> int:
-    """Number of quadruples of weight exactly w."""
-    return sum(_seq_pair_count(w - B) for B, _, _ in _label_pairs_up_to(w - 2))
+_CLASS_STARTS = [0]
+
+
+def _class_start(w: int) -> int:
+    """0-based index of the first quadruple of weight w, read from
+    ``_CLASS_STARTS`` (one entry per weight from ``_MIN_WEIGHT``), which
+    grows on demand.  A label pair's blocks hold 2**(m-2) quadruples."""
+    while len(_CLASS_STARTS) <= w - _MIN_WEIGHT:
+        ww = _MIN_WEIGHT + len(_CLASS_STARTS) - 1
+        size = sum(1 << (ww - B - 2) for B, _, _ in _label_pairs(ww - 2))
+        _CLASS_STARTS.append(_CLASS_STARTS[-1] + size)
+    return _CLASS_STARTS[w - _MIN_WEIGHT]
+
+
+@cache
+def _compositions(m: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """All compositions of m into `parts` positive parts, lex order: the
+    order of their cut points."""
+    return tuple(
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, m)))
+        for cuts in combinations(range(1, m), parts - 1)
+    )
 
 
 def _composition_unrank(m: int, parts: int, rank: int) -> tuple[int, ...]:
@@ -190,10 +220,7 @@ def _composition_unrank(m: int, parts: int, rank: int) -> tuple[int, ...]:
     out = []
     while parts > 1:
         t = 1
-        while True:
-            cnt = comb(m - t - 1, parts - 2)
-            if rank < cnt:
-                break
+        while rank >= (cnt := comb(m - t - 1, parts - 2)):
             rank -= cnt
             t += 1
         out.append(t)
@@ -216,80 +243,47 @@ def _composition_rank(parts_tuple: Sequence[int]) -> int:
 
 
 def phi(k: int) -> Quadruple:
-    """The k-th quadruple (k >= 1) in the frozen graded order.
-
-    Grading: total weight ``b(i)+b(j)+sum(s')+sum(s'')`` ascending; within
-    a weight class, label pairs by (b(i)+b(j), i), then sequence length
-    ascending, then the joint tuple ``s' + s''`` in lexicographic order.
-    """
+    """The k-th quadruple (k >= 1) in the frozen graded order: total
+    weight ``b(i)+b(j)+sum(s')+sum(s'')`` ascending, each weight class in
+    the block order of ``_blocks``."""
     if k < 1:
         raise ValueError("phi is defined for k >= 1")
     idx = k - 1
-    w = _MIN_WEIGHT
-    while True:
-        size = _class_size(w)
+    while _CLASS_STARTS[-1] <= idx:
+        _class_start(_MIN_WEIGHT + len(_CLASS_STARTS))
+    c = bisect_right(_CLASS_STARTS, idx) - 1
+    idx -= _CLASS_STARTS[c]
+    for i, j, m, n, size in _blocks(c + _MIN_WEIGHT):
         if idx < size:
-            break
+            joint = _composition_unrank(m, 2 * n, idx)
+            return Quadruple(i, j, joint[:n], joint[n:])
         idx -= size
-        w += 1
-    for B, i, j in _label_pairs_up_to(w - 2):
-        m = w - B
-        cnt = _seq_pair_count(m)
-        if idx >= cnt:
-            idx -= cnt
-            continue
-        n = 1
-        while True:
-            block = comb(m - 1, 2 * n - 1)
-            if idx < block:
-                break
-            idx -= block
-            n += 1
-        joint = _composition_unrank(m, 2 * n, idx)
-        return Quadruple(i, j, joint[:n], joint[n:])
-    raise AssertionError("class size bookkeeping is inconsistent")
+    raise AssertionError("class start table is inconsistent")
 
 
 def phi_index(q: Quadruple) -> int:
     """Position of a quadruple in the enumeration; inverse of :func:`phi`."""
     w = quadruple_weight(q)
-    idx = 0
-    for ww in range(_MIN_WEIGHT, w):
-        idx += _class_size(ww)
-    B_target = label_weight(q.i) + label_weight(q.j)
-    for B, i, j in _label_pairs_up_to(w - 2):
-        if (B, i, j) == (B_target, q.i, q.j):
-            break
-        idx += _seq_pair_count(w - B)
-    else:
-        raise AssertionError("label pair not found in its own weight class")
-    m = w - B_target
-    n = q.length
-    for nn in range(1, n):
-        idx += comb(m - 1, 2 * nn - 1)
-    idx += _composition_rank(q.s_prime + q.s_dprime)
-    return idx + 1
+    idx = _class_start(w) + 1
+    for i, j, _, n, size in _blocks(w):
+        if (i, j, n) == (q.i, q.j, q.length):
+            return idx + _composition_rank(q.s_prime + q.s_dprime)
+        idx += size
+    raise AssertionError("block not found in its own weight class")
 
 
 def phase_stream() -> Iterator[tuple[int, Quadruple]]:
-    """Yield (k, phi(k)) for k = 1, 2, ... without re-unranking.
+    """Yield (k, phi(k)) for k = 1, 2, ... by walking the blocks in order.
 
     The route builder walks phases in order; iterating the grading
     directly is much cheaper than calling :func:`phi` per phase.
     """
     k = 1
-    w = _MIN_WEIGHT
-    while True:
-        for B, i, j in _label_pairs_up_to(w - 2):
-            m = w - B
-            n = 1
-            while 2 * n <= m:
-                for rank in range(comb(m - 1, 2 * n - 1)):
-                    joint = _composition_unrank(m, 2 * n, rank)
-                    yield k, Quadruple(i, j, joint[:n], joint[n:])
-                    k += 1
-                n += 1
-        w += 1
+    for w in count(_MIN_WEIGHT):
+        for i, j, m, n, _ in _blocks(w):
+            for joint in _compositions(m, 2 * n):
+                yield k, Quadruple(i, j, joint[:n], joint[n:])
+                k += 1
 
 
 # ---------------------------------------------------------------------------
