@@ -252,11 +252,9 @@ class GtArrival:
 
 
 def gt_traverse(t: Terrain, p: QPoint, port: int) -> GtArrival:
-    if not t.is_interior(p):
-        raise StartNotInterior(f"{p} is not interior")
+    """Follow a port from p; ``first_boundary_hit`` rejects a p that is
+    not interior, also for the zero offset."""
     target = gt_target(p, port)
-    if target == p:
-        return GtArrival("v1", p)
     hit = first_boundary_hit(t, p, target)
     if hit is None:
         return GtArrival("v1", target)

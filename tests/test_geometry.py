@@ -110,6 +110,13 @@ def test_gt_traverse_examples():
     assert arr.kind == "v2" and arr.point == (F(1, 2), F(1))
 
 
+@pytest.mark.parametrize("port", [1, 3])  # port 3 is the zero offset
+@pytest.mark.parametrize("p", [(F(0), F(1, 2)), (F(2), F(1, 2))])
+def test_gt_traverse_rejects_boundary_and_exterior_points(p, port):
+    with pytest.raises(StartNotInterior):
+        gt_traverse(unit_square(), p, port)
+
+
 def test_terrain_graph_symmetry_sweep():
     rng = random.Random(37)
     sq = unit_square()
