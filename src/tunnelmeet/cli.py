@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .adversary import (
     DEFAULT_SUITE,
@@ -89,12 +90,16 @@ def _load_scenario(path: str) -> dict:
 def _build_world(doc: dict):
     world = doc.get("world", {})
     kind = world.get("kind")
-    if kind == "graph":
-        return "graph", load_graph_json(world["graph"])
-    if kind == "terrain":
-        return "terrain", terrain_from_json(world["terrain"])
+    if kind in ("graph", "terrain"):
+        spec = world.get(kind)
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"world.{kind} must be an object, got {spec!r}")
+        return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)
     if kind == "generator":
-        return "generator", generator(world["name"], world.get("unit_length", 1))
+        name = world.get("name")
+        if not isinstance(name, str):
+            raise ScenarioError(f"world.name must be a generator name, got {name!r}")
+        return "generator", generator(name, world.get("unit_length", 1))
     raise ScenarioError(f"unknown world kind {kind!r}")
 
 
@@ -114,16 +119,49 @@ def _limits(doc: dict, args) -> Limits:
     return Limits(cap, budget)
 
 
-def _start_for(kind: str, world_doc: dict, agent: dict):
-    start = agent.get("start")
+def _rational(value, field: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except GraphError:
+        raise ScenarioError(f"{field} must be an exact rational, got {value!r}") from None
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+#: Node handle shape per graph world or generator: (shape, check).
+_HANDLES = {
+    "graph": ("a node name", lambda s: isinstance(s, str) or _is_int(s)),
+    "infinite_line": ("an int", _is_int),
+    "infinite_grid": (
+        "a list of two ints",
+        lambda s: isinstance(s, list) and len(s) == 2 and all(map(_is_int, s)),
+    ),
+    "infinite_binary_tree": (
+        "a list of 0s and 1s",
+        lambda s: isinstance(s, list) and all(_is_int(c) and c in (0, 1) for c in s),
+    ),
+}
+
+
+def _start_for(kind: str, world_doc: dict, agents: list, n: int):
+    """Agent n's start as a node handle of the world; a start of the wrong
+    shape is a ``ScenarioError`` naming ``agents[n].start``."""
+    field = f"agents[{n}].start"
+    start = agents[n].get("start")
     if kind == "terrain":
-        x, y = start
-        return (parse_rational(x), parse_rational(y))
-    if kind == "generator":
-        if start is None or start == "origin":
-            return generator_origin(world_doc["name"])
-        return tuple(start) if isinstance(start, list) else start
-    return start
+        if isinstance(start, list) and len(start) == 2:
+            return tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
+        shape = "a point [x, y]"
+    else:
+        name = world_doc["name"] if kind == "generator" else kind
+        if kind == "generator" and start in (None, "origin"):
+            return generator_origin(name)
+        shape, fits = _HANDLES[name]
+        if fits(start):
+            return tuple(start) if isinstance(start, list) else start
+    raise ScenarioError(f"{field} must be {shape}, got {start!r}")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -213,7 +251,7 @@ def cmd_run(args) -> int:
         adversary.get("strategies", [row[0] for row in DEFAULT_SUITE])
     )
     epsilon = doc.get("epsilon")
-    starts = [_start_for(kind, doc["world"], a) for a in agents]
+    starts = [_start_for(kind, doc["world"], agents, n) for n in range(2)]
     labels = [a["label"] for a in agents]
     if epsilon is not None:
         if kind != "terrain":
@@ -224,7 +262,7 @@ def cmd_run(args) -> int:
             starts[1],
             labels[0],
             labels[1],
-            parse_rational(epsilon),
+            _rational(epsilon, "epsilon"),
             limits,
             suite=suite,
             seeds=tuple(seeds),
@@ -248,7 +286,7 @@ def cmd_route(args) -> int:
     kind, world = _build_world(doc)
     limits = _limits(doc, args)
     agent = doc["agents"][args.agent]
-    start = _start_for(kind, doc["world"], agent)
+    start = _start_for(kind, doc["world"], doc["agents"], args.agent)
     if kind == "terrain":
         route = geometric_rv(world, start, agent["label"], limits)
         text = dump_lines(
@@ -298,6 +336,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tunnelmeet",

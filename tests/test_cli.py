@@ -150,6 +150,55 @@ def test_run_rejects_bad_scenario_shapes(tmp_path, capsys, keys, value, field):
     assert err.count("\n") == 1
 
 
+_DELETE = object()
+
+
+def _edited(name, keys, value):
+    """A shipped scenario (or an infinite-line one) with one field set or
+    deleted."""
+    if name == "line":
+        doc = {
+            "schema": "scenario-v1",
+            "world": {"kind": "generator", "name": "infinite_line"},
+            "agents": [{"label": 1, "start": 0}, {"label": 2, "start": "origin"}],
+            "limits": {"phase_cap": 1},
+        }
+    else:
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    *outer, last = keys
+    target = doc
+    for key in outer:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        (_edited("k2", ("agents", 0, "start"), ["A"]), "agents[0].start"),
+        (_edited("k2", ("agents", 1, "start"), {"a": 1}), "agents[1].start"),
+        (_edited("line", ("agents", 0, "start"), "x"), "agents[0].start"),
+        (_edited("line", ("world", "name"), "infinite_grid"), "agents[0].start"),
+        (_edited("line", ("world", "name"), _DELETE), "world.name"),
+        (_edited("k2", ("world", "graph"), _DELETE), "world.graph"),
+        (_edited("square", ("world", "terrain"), _DELETE), "world.terrain"),
+        (_edited("square", ("agents", 0, "start"), ["1/2"]), "agents[0].start"),
+        (_edited("square", ("agents", 1, "start"), ["1/2", "x"]), "agents[1].start[1]"),
+        (_edited("hole", ("epsilon",), [1]), "epsilon"),
+    ],
+)
+def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, field):
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioError: ")
+    assert f" {field} must be " in err
+    assert err.count("\n") == 1
+
+
 K2_ROUTE_DUMP = (
     "# start A\n"
     "# phase 1\n"
