@@ -74,17 +74,21 @@ _EMPTY = _Leaf(())
 
 
 def _iter_node(node, rev: bool) -> Iterator[EdgeTraversal]:
-    # Explicit stack: nested generators would pay O(depth) per step.
-    stack = [(node, rev)]
+    # Explicit stack of (kid iterator, flip), one per open _Cat: nested
+    # generators would pay O(depth) per step, pushing every kid O(fan-out).
+    stack = [(iter((node,)), rev)]
     while stack:
-        node, rev = stack.pop()
-        if isinstance(node, _Leaf):
+        kids, flip = stack[-1]
+        for node in kids:
+            rev = flip
+            while isinstance(node, _Rev):
+                node, rev = node.kid, not rev
+            if isinstance(node, _Cat):
+                stack.append((iter(reversed(node.kids) if rev else node.kids), rev))
+                break
             yield from (node.reversed_steps() if rev else node.steps)
-        elif isinstance(node, _Rev):
-            stack.append((node.kid, not rev))
         else:
-            kids = node.kids if rev else reversed(node.kids)
-            stack.extend((kid, rev) for kid in kids)
+            stack.pop()
 
 
 def _step_at(node, i: int) -> EdgeTraversal:
