@@ -249,7 +249,7 @@ def phi(k: int) -> Quadruple:
     if k < 1:
         raise ValueError("phi is defined for k >= 1")
     idx = k - 1
-    while _CLASS_STARTS[-1] <= idx:
+    while _CLASS_STARTS[-1] <= idx:  # grow the table past idx
         _class_start(_MIN_WEIGHT + len(_CLASS_STARTS))
     c = bisect_right(_CLASS_STARTS, idx) - 1
     idx -= _CLASS_STARTS[c]
