@@ -63,6 +63,60 @@ def test_terrain_validation_rejects_bad_input():
             Terrain(outer, holes)
 
 
+def _poly(*xy):
+    return tuple((F(x), F(y)) for x, y in xy)
+
+
+_OUTER = _poly((0, 0), (8, 0), (8, 8), (0, 8))
+_SQUARE_AT = {  # 2x2 holes by lower-left corner
+    c: _poly(c, (c[0] + 2, c[1]), (c[0] + 2, c[1] + 2), (c[0], c[1] + 2))
+    for c in ((1, 1), (3, 3), (5, 5))
+}
+_BIG = _poly((1, 1), (7, 1), (7, 7), (1, 7))
+_NOT_INSIDE = "hole 0 is not strictly inside the outer polygon"
+_TOUCH = "boundary polygons touch"
+_REJECTIONS = {  # id: (outer, holes, message); one fault each, or none
+    "few": (_poly((0, 0), (1, 0)), (), "outer: a polygon needs at least 3 vertices"),
+    "zero-area": (_poly((0, 0), (1, 0), (2, 0)), (), "outer: degenerate polygon"),
+    "repeated-vertex": (
+        _poly((0, 0), (8, 0), (8, 0), (0, 8)), (), "outer: repeated consecutive vertex"
+    ),
+    "outer-crosses-itself": (
+        _poly((0, 0), (8, 8), (8, 0), (0, 4)), (), "outer: polygon is not simple"
+    ),
+    "hole-crosses-itself": (
+        _OUTER, (_poly((2, 2), (6, 6), (6, 2), (2, 4)),), "hole 0: polygon is not simple"
+    ),
+    "hole-pokes-out": (_OUTER, (_poly((4, 4), (10, 4), (10, 10)),), _NOT_INSIDE),
+    "hole-outside": (_OUTER, (_poly((10, 10), (12, 10), (12, 12)),), _NOT_INSIDE),
+    "hole-touches-outer-vertex": (_OUTER, (_poly((0, 0), (2, 1), (1, 2)),), _NOT_INSIDE),
+    "hole-touches-outer-edge": (
+        _OUTER, (_poly((2, 0), (4, 0), (4, 2), (2, 2)),), _NOT_INSIDE
+    ),
+    "holes-touch": (_OUTER, (_SQUARE_AT[1, 1], _SQUARE_AT[3, 3]), _TOUCH),
+    "holes-cross": (
+        _OUTER,
+        (_poly((1, 1), (4, 1), (4, 4), (1, 4)), _poly((3, 3), (6, 3), (6, 6), (3, 6))),
+        _TOUCH,
+    ),
+    "nested-big-first": (_OUTER, (_BIG, _SQUARE_AT[3, 3]), "nested holes"),
+    "nested-small-first": (_OUTER, (_SQUARE_AT[3, 3], _BIG), "nested holes"),
+    "two-disjoint-holes": (_OUTER, (_SQUARE_AT[1, 1], _SQUARE_AT[5, 5]), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_terrain_rejection_messages(case):
+    """Each terrain has at most one fault, named by its exact message."""
+    outer, holes, message = _REJECTIONS[case]
+    if message is None:
+        assert Terrain(outer, holes).holes == holes
+        return
+    with pytest.raises(TerrainError) as info:
+        Terrain(outer, holes)
+    assert str(info.value) == message
+
+
 def test_first_boundary_hit_examples():
     sq = unit_square()
     hit = first_boundary_hit(sq, (F(1, 2), F(1, 2)), (F(1, 2), F(2)))
