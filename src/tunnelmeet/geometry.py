@@ -59,14 +59,16 @@ def _on_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
     )
 
 
+def _edges(poly: tuple[QPoint, ...]) -> Iterator[tuple[QPoint, QPoint]]:
+    """The polygon's edges in order, the last one closing the ring."""
+    return zip(poly, poly[1:] + poly[:1])
+
+
 def _strictly_inside(p: QPoint, poly: tuple[QPoint, ...]) -> bool:
     """Exact ray casting; p must not lie on the polygon boundary."""
     x, y = p
     inside = False
-    n = len(poly)
-    for k in range(n):
-        ax, ay = poly[k]
-        bx, by = poly[(k + 1) % n]
+    for (ax, ay), (bx, by) in _edges(poly):
         if (ay > y) != (by > y):
             xi = ax + (y - ay) * (bx - ax) / (by - ay)
             if xi > x:
@@ -90,12 +92,6 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
-class BoundaryHit(NamedTuple):
-    point: QPoint
-    param: Fraction  # position along the probe segment, in (0, 1]
-    dist_sq: Fraction  # squared distance from the segment start
-
-
 @dataclass(frozen=True)
 class Terrain:
     """Closed region: a simple outer polygon minus open polygonal holes."""
@@ -104,28 +100,35 @@ class Terrain:
     holes: tuple[tuple[QPoint, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        _validate_polygon(self.outer, "outer")
-        for idx, hole in enumerate(self.holes):
-            _validate_polygon(hole, f"hole {idx}")
-            for v in hole:
-                if _on_boundary_of(v, self.outer) or not _strictly_inside(v, self.outer):
-                    raise TerrainError(f"hole {idx} is not strictly inside the outer polygon")
+        """One pass over all pairs of boundary edges, skipping adjacent
+        edges of one polygon; the first contact names its fault.  With no
+        contact, each hole's boundary lies wholly inside or wholly outside
+        every other polygon (Jordan), so one vertex per hole places it."""
         polys = (self.outer,) + self.holes
-        for a in range(len(polys)):
-            for b in range(a + 1, len(polys)):
-                _reject_polygon_contact(polys[a], polys[b])
+        names = ["outer"] + [f"hole {idx}" for idx in range(len(self.holes))]
+        for poly, name in zip(polys, names):
+            _validate_polygon(poly, name)
+        edges = [(i, k, e) for i, poly in enumerate(polys) for k, e in enumerate(_edges(poly))]
+        for pos, (i, k, (a, b)) in enumerate(edges):
+            for j, m, (c, d) in edges[pos + 1 :]:
+                if i == j and m - k in (1, len(polys[i]) - 1):
+                    continue
+                if _segments_intersect(a, b, c, d):
+                    if i == j:
+                        raise TerrainError(f"{names[i]}: polygon is not simple")
+                    if i == 0:
+                        raise TerrainError(f"{names[j]} is not strictly inside the outer polygon")
+                    raise TerrainError("boundary polygons touch")
         for idx, hole in enumerate(self.holes):
+            if not _strictly_inside(hole[0], self.outer):
+                raise TerrainError(f"hole {idx} is not strictly inside the outer polygon")
             for other in self.holes[:idx]:
-                if any(_strictly_inside(v, other) for v in hole) or any(
-                    _strictly_inside(v, hole) for v in other
-                ):
+                if _strictly_inside(hole[0], other) or _strictly_inside(other[0], hole):
                     raise TerrainError("nested holes")
 
     def boundary_edges(self) -> Iterator[tuple[QPoint, QPoint]]:
         for poly in (self.outer,) + self.holes:
-            n = len(poly)
-            for k in range(n):
-                yield poly[k], poly[(k + 1) % n]
+            yield from _edges(poly)
 
     def classify(self, p: QPoint) -> str:
         for a, b in self.boundary_edges():
@@ -144,41 +147,14 @@ class Terrain:
         return self.classify(p) != "outside"
 
 
-def _on_boundary_of(p, poly) -> bool:
-    n = len(poly)
-    return any(_on_segment(p, poly[k], poly[(k + 1) % n]) for k in range(n))
-
-
 def _validate_polygon(poly, name: str) -> None:
+    """The per-polygon checks; crossings are found by ``Terrain``'s pass."""
     if len(poly) < 3:
         raise TerrainError(f"{name}: a polygon needs at least 3 vertices")
-    n = len(poly)
-    area2 = sum(
-        poly[k][0] * poly[(k + 1) % n][1] - poly[(k + 1) % n][0] * poly[k][1]
-        for k in range(n)
-    )
-    if area2 == 0:
+    if sum(a[0] * b[1] - b[0] * a[1] for a, b in _edges(poly)) == 0:
         raise TerrainError(f"{name}: degenerate polygon")
-    for k in range(n):
-        if poly[k] == poly[(k + 1) % n]:
-            raise TerrainError(f"{name}: repeated consecutive vertex")
-    for a in range(n):
-        for b in range(a + 1, n):
-            adjacent = b == a + 1 or (a == 0 and b == n - 1)
-            if adjacent:
-                continue
-            if _segments_intersect(
-                poly[a], poly[(a + 1) % n], poly[b], poly[(b + 1) % n]
-            ):
-                raise TerrainError(f"{name}: polygon is not simple")
-
-
-def _reject_polygon_contact(p1, p2) -> None:
-    n1, n2 = len(p1), len(p2)
-    for a in range(n1):
-        for b in range(n2):
-            if _segments_intersect(p1[a], p1[(a + 1) % n1], p2[b], p2[(b + 1) % n2]):
-                raise TerrainError("boundary polygons touch")
+    if any(a == b for a, b in _edges(poly)):
+        raise TerrainError(f"{name}: repeated consecutive vertex")
 
 
 def terrain_from_json(doc: dict) -> Terrain:
@@ -191,12 +167,12 @@ def terrain_from_json(doc: dict) -> Terrain:
     return Terrain(pts(doc["outer"]), tuple(pts(h) for h in doc.get("holes", ())))
 
 
-def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> BoundaryHit | None:
+def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> QPoint | None:
     """First boundary contact of the segment from interior point v to u.
 
     Contact includes tangential grazing.  Returns the closest contact
-    (smallest parameter > 0) or None when the whole segment stays
-    interior.  Distances are reported squared to stay rational.
+    point (smallest parameter > 0) or None when the whole segment stays
+    interior.
     """
     if not t.is_interior(v):
         raise StartNotInterior(f"{v} is not interior")
@@ -228,8 +204,7 @@ def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> BoundaryHit | None:
                 best = tt
     if best is None:
         return None
-    w = (v[0] + best * dx, v[1] + best * dy)
-    return BoundaryHit(w, best, best * best * (dx * dx + dy * dy))
+    return (v[0] + best * dx, v[1] + best * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +233,7 @@ def gt_traverse(t: Terrain, p: QPoint, port: int) -> GtArrival:
     hit = first_boundary_hit(t, p, target)
     if hit is None:
         return GtArrival("v1", target)
-    return GtArrival("v2", hit.point)
+    return GtArrival("v2", hit)
 
 
 class TerrainGraph(PortLabeledGraph):
@@ -427,7 +402,7 @@ def audit_planar_route(t: Terrain, route: PlanarRoute) -> None:
         elif seg.kind == "free":
             if not t.is_interior(seg.end):
                 raise TerrainError(f"free endpoint {seg.end} is not interior")
-            if seg.end != seg.start and first_boundary_hit(t, seg.start, seg.end):
+            if seg.end != seg.start and first_boundary_hit(t, seg.start, seg.end) is not None:
                 raise TerrainError("free segment touches the boundary")
         checked.add(seg)
 
