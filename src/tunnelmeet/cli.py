@@ -35,9 +35,11 @@ from .geometry import (
 )
 from .graph_model import (
     GraphError,
+    MalformedField,
     format_rational,
     generator,
     generator_origin,
+    is_node_name,
     load_graph_json,
     parse_rational,
 )
@@ -94,7 +96,10 @@ def _build_world(doc: dict):
         spec = world.get(kind)
         if not isinstance(spec, dict):
             raise ScenarioError(f"world.{kind} must be an object, got {spec!r}")
-        return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)
+        try:
+            return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)
+        except MalformedField as exc:
+            raise ScenarioError(f"world.{kind}.{exc}") from None
     if kind == "generator":
         name = world.get("name")
         if not isinstance(name, str):
@@ -132,7 +137,7 @@ def _is_int(x) -> bool:
 
 #: Node handle shape per graph world or generator: (shape, check).
 _HANDLES = {
-    "graph": ("a node name", lambda s: isinstance(s, str) or _is_int(s)),
+    "graph": ("a node name", is_node_name),
     "infinite_line": ("an int", _is_int),
     "infinite_grid": (
         "a list of two ints",

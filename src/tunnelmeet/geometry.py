@@ -25,6 +25,8 @@ from .graph_model import (
     GraphError,
     InvalidPort,
     PortLabeledGraph,
+    check_field,
+    is_list,
     parse_rational,
 )
 from .rendezvous import Limits, RouteBuilder, graph_rv
@@ -158,13 +160,26 @@ def _validate_polygon(poly, name: str) -> None:
 
 
 def terrain_from_json(doc: dict) -> Terrain:
+    """Terrain from a ``terrain-v1`` document; a field of the wrong shape
+    is a ``MalformedField`` naming its path, such as ``outer[0]``."""
     if doc.get("schema") != TERRAIN_SCHEMA:
         raise TerrainError(f"expected schema {TERRAIN_SCHEMA!r}")
 
-    def pts(rows):
-        return tuple((parse_rational(x), parse_rational(y)) for x, y in rows)
+    def pts(rows, path):
+        check_field(rows, path, "a list of points [x, y]", is_list)
+        return tuple(
+            tuple(map(parse_rational, check_field(xy, f"{path}[{k}]", "a point [x, y]", _is_xy)))
+            for k, xy in enumerate(rows)
+        )
 
-    return Terrain(pts(doc["outer"]), tuple(pts(h) for h in doc.get("holes", ())))
+    holes = check_field(doc.get("holes", []), "holes", "a list of polygons", is_list)
+    return Terrain(
+        pts(doc.get("outer"), "outer"), tuple(pts(h, f"holes[{n}]") for n, h in enumerate(holes))
+    )
+
+
+def _is_xy(value) -> bool:
+    return is_list(value) and len(value) == 2
 
 
 def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> QPoint | None:

@@ -46,6 +46,28 @@ class Disconnected(GraphError):
     """The model requires connected graphs; disconnected input is rejected."""
 
 
+class MalformedField(GraphError):
+    """A document field of the wrong shape; the message starts with the
+    field's path inside the document, such as ``edges[0].pu``."""
+
+
+def check_field(value, path: str, shape: str, fits):
+    """``value`` when ``fits(value)``, else a ``MalformedField`` naming
+    ``path`` and the expected ``shape``."""
+    if not fits(value):
+        raise MalformedField(f"{path} must be {shape}, got {value!r}")
+    return value
+
+
+def is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def is_node_name(value) -> bool:
+    """Finite-graph node names are strings or ints (not bools)."""
+    return isinstance(value, str) or type(value) is int
+
+
 @dataclass(frozen=True)
 class EdgeTraversal:
     """One directed edge traversal: leave ``u`` by ``out_port``, enter
@@ -112,16 +134,28 @@ def build_finite_graph(spec: dict) -> FiniteGraph:
 
     ``spec`` is ``{"nodes": [...], "edges": [{"u", "pu", "v", "pv",
     "len"}]}`` with lengths as positive rationals (``"num/den"`` strings,
-    integers, or Fractions; default 1).  Rejects duplicate ports,
-    dangling edges, and disconnected graphs.
+    integers, or Fractions; default 1).  Rejects fields of the wrong
+    shape (``MalformedField``), duplicate ports, dangling edges, and
+    disconnected graphs.
     """
-    nodes = list(spec["nodes"])
+    nodes = list(check_field(spec.get("nodes"), "nodes", "a list of node names", is_list))
+    for n, name in enumerate(nodes):
+        check_field(name, f"nodes[{n}]", "a node name", is_node_name)
     if len(set(nodes)) != len(nodes):
         raise GraphError("duplicate node names")
     node_set = set(nodes)
     adj: dict = {v: {} for v in nodes}
-    for pos, edge in enumerate(spec.get("edges", [])):
-        u, pu, v, pv = edge["u"], edge["pu"], edge["v"], edge["pv"]
+    edges = check_field(spec.get("edges", []), "edges", "a list of edges", is_list)
+    for pos, edge in enumerate(edges):
+        check_field(edge, f"edges[{pos}]", "an object", lambda e: isinstance(e, dict))
+        u, v = (
+            check_field(edge.get(k), f"edges[{pos}].{k}", "a node name", is_node_name)
+            for k in ("u", "v")
+        )
+        pu, pv = (
+            check_field(edge.get(k), f"edges[{pos}].{k}", "an int", lambda p: type(p) is int)
+            for k in ("pu", "pv")
+        )
         length = parse_rational(edge.get("len", 1))
         if length <= 0:
             raise GraphError(f"edge {pos}: non-positive length")

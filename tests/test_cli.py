@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelmeet.cli import main
 from tunnelmeet.graph_model import random_connected_graph
@@ -189,6 +194,18 @@ def _edited(name, keys, value):
         (_edited("square", ("agents", 0, "start"), ["1/2"]), "agents[0].start"),
         (_edited("square", ("agents", 1, "start"), ["1/2", "x"]), "agents[1].start[1]"),
         (_edited("hole", ("epsilon",), [1]), "epsilon"),
+        (_edited("k2", ("world", "graph", "edges", 0, "pu"), "1"), "world.graph.edges[0].pu"),
+        (_edited("k2", ("world", "graph", "edges", 0, "pu"), _DELETE), "world.graph.edges[0].pu"),
+        (_edited("k2", ("world", "graph", "nodes", 0), ["A"]), "world.graph.nodes[0]"),
+        (_edited("k2", ("world", "graph", "nodes"), _DELETE), "world.graph.nodes"),
+        (_edited("k2", ("world", "graph", "edges"), 5), "world.graph.edges"),
+        (_edited("square", ("world", "terrain", "outer"), 5), "world.terrain.outer"),
+        (_edited("square", ("world", "terrain", "outer"), _DELETE), "world.terrain.outer"),
+        (
+            _edited("square", ("world", "terrain", "outer", 0), ["0/1"]),
+            "world.terrain.outer[0]",
+        ),
+        (_edited("square", ("world", "terrain", "holes"), 5), "world.terrain.holes"),
     ],
 )
 def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, field):
@@ -197,6 +214,53 @@ def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, fi
     assert err.startswith("error: ScenarioError: ")
     assert f" {field} must be " in err
     assert err.count("\n") == 1
+
+
+def _paths(node, prefix):
+    """``prefix`` and every path below it into a JSON value."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+_WORLD_FIELDS = [
+    (name, keys)
+    for name in ("k2", "square")
+    for keys in _paths(json.loads((SCENARIOS / f"{name}.json").read_text())["world"], ("world",))
+]
+_RATIONAL_TEXT = st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 4))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | _RATIONAL_TEXT,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    st.sampled_from(_WORLD_FIELDS),
+    st.just(_DELETE) | _RATIONAL_TEXT | st.integers(-1, 2) | _JSON,
+)
+def test_fuzzed_world_field_exits_zero_one_or_two(field, value):
+    """Any JSON (or nothing) at any path of a graph or terrain world: no
+    exception escapes ``main``, a malformed world is one ``error:`` line
+    with exit 2, and a run that ends 0 or 1 has written its report."""
+    doc = _edited(*field, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(
+                ["run", write_scenario(Path(tmp), doc), "--phase-cap", "2", "--out", str(out)]
+            )
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert json.loads(out.read_text())["schema"] == "verdict-v1"
 
 
 K2_ROUTE_DUMP = (
