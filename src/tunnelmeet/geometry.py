@@ -474,14 +474,9 @@ def approx_rendezvous(
     report = verify_rendezvous(
         t, r1, r2, suite=DEFAULT_SUITE if suite is None else suite, seeds=seeds
     )
-    worst: Fraction | None = None
-    for cell in report["cells"]:
-        verdict = cell["verdict"]
-        gap = verdict.min_distance_sq
-        if gap is None:
-            gap = _ZERO if verdict.met else None
-        if gap is not None and (worst is None or gap > worst):
-            worst = gap
+    # a met planar verdict carries min_distance_sq 0; None means no gap was seen
+    gaps = (cell["verdict"].min_distance_sq for cell in report["cells"])
+    worst = max((gap for gap in gaps if gap is not None), default=None)
     report["epsilon"] = epsilon
     report["worst_min_distance_sq"] = worst
     report["within_epsilon"] = worst is not None and worst <= epsilon * epsilon
