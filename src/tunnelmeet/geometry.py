@@ -1,9 +1,14 @@
 """Exact rational planar geometry and terrain rendezvous.
 
-Terrains are closed polygon-with-holes regions with rational vertices;
-all predicates (point classification, segment-boundary contact) are
-exact.  The countable graph over rational interior points reduces
-terrain rendezvous to graph rendezvous: every rational offset is a port
+Terrains are closed polygon-with-holes regions with rational vertices.
+Every predicate (validation, point classification, segment-boundary
+contact) is an exact int sign test: a ``Terrain`` keeps its vertices as
+ints over one denominator D, and a query meets them at D times its
+points' own denominator.  Only a returned hit point is a ``Fraction``;
+the ``Fraction`` forms of the queries are test oracles (``tests/conftest.py``).
+
+The countable graph over rational interior points reduces terrain
+rendezvous to graph rendezvous: every rational offset is a port
 (numbered by the pair enumeration), a segment that stays interior is an
 edge between interior points, and a segment that touches the boundary
 leads to a degree-one stub node that forces the agent straight back.
@@ -15,8 +20,9 @@ of that connectivity lemma lives with the tests (``tests/conftest.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import rational_pair, rational_pair_index
@@ -36,7 +42,6 @@ QPoint = tuple[Fraction, Fraction]
 
 TERRAIN_SCHEMA = "terrain-v1"
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -48,11 +53,11 @@ class StartNotInterior(TerrainError):
     pass
 
 
-def _cross(ox, oy, ax, ay, bx, by) -> Fraction:
+def _cross(ox, oy, ax, ay, bx, by):
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def _on_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
+def _on_segment(p, a, b) -> bool:
     if _cross(a[0], a[1], b[0], b[1], p[0], p[1]) != 0:
         return False
     return (
@@ -61,20 +66,19 @@ def _on_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
     )
 
 
-def _edges(poly: tuple[QPoint, ...]) -> Iterator[tuple[QPoint, QPoint]]:
+def _edges(poly: tuple) -> Iterator[tuple]:
     """The polygon's edges in order, the last one closing the ring."""
     return zip(poly, poly[1:] + poly[:1])
 
 
-def _strictly_inside(p: QPoint, poly: tuple[QPoint, ...]) -> bool:
-    """Exact ray casting; p must not lie on the polygon boundary."""
+def _strictly_inside(p, ring) -> bool:
+    """Exact ray casting over a ring of int edges; p must not lie on it.
+    The crossing abscissa is compared with p's by cross-multiplying."""
     x, y = p
     inside = False
-    for (ax, ay), (bx, by) in _edges(poly):
-        if (ay > y) != (by > y):
-            xi = ax + (y - ay) * (bx - ax) / (by - ay)
-            if xi > x:
-                inside = not inside
+    for (ax, ay), (bx, by) in ring:
+        if (ay > y) != (by > y) and ((ax - x) * (by - ay) + (y - ay) * (bx - ax) > 0) == (by > ay):
+            inside = not inside
     return inside
 
 
@@ -94,12 +98,34 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
+def _scaled(p, scale: int) -> tuple[int, int]:
+    """p times ``scale``, a multiple of both coordinates' denominators."""
+    x, y = p
+    return x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)
+
+
+def _classify(p, rings) -> str:
+    """``Terrain.classify`` on an int point and the terrain's int rings."""
+    for ring in rings:
+        for a, b in ring:
+            if _on_segment(p, a, b):
+                return "boundary"
+    if _strictly_inside(p, rings[0]) and not any(_strictly_inside(p, h) for h in rings[1:]):
+        return "interior"
+    return "outside"
+
+
 @dataclass(frozen=True)
 class Terrain:
     """Closed region: a simple outer polygon minus open polygonal holes."""
 
     outer: tuple[QPoint, ...]
     holes: tuple[tuple[QPoint, ...], ...] = ()
+    #: the lcm D of the vertices' denominators
+    _den: int = field(init=False, repr=False, compare=False)
+    #: q -> the edge rings (outer first) with vertices times D*q, as ints;
+    #: a memo per terrain
+    _rings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """One pass over all pairs of boundary edges, skipping adjacent
@@ -107,13 +133,17 @@ class Terrain:
         contact, each hole's boundary lies wholly inside or wholly outside
         every other polygon (Jordan), so one vertex per hole places it."""
         polys = (self.outer,) + self.holes
+        den = lcm(*(c.denominator for poly in polys for xy in poly for c in xy))
+        rings = tuple(tuple(_edges(tuple(_scaled(xy, den) for xy in poly))) for poly in polys)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rings", {1: rings})
         names = ["outer"] + [f"hole {idx}" for idx in range(len(self.holes))]
-        for poly, name in zip(polys, names):
-            _validate_polygon(poly, name)
-        edges = [(i, k, e) for i, poly in enumerate(polys) for k, e in enumerate(_edges(poly))]
+        for ring, name in zip(rings, names):
+            _validate_polygon(ring, name)
+        edges = [(i, k, e) for i, ring in enumerate(rings) for k, e in enumerate(ring)]
         for pos, (i, k, (a, b)) in enumerate(edges):
             for j, m, (c, d) in edges[pos + 1 :]:
-                if i == j and m - k in (1, len(polys[i]) - 1):
+                if i == j and m - k in (1, len(rings[i]) - 1):
                     continue
                 if _segments_intersect(a, b, c, d):
                     if i == j:
@@ -121,26 +151,29 @@ class Terrain:
                     if i == 0:
                         raise TerrainError(f"{names[j]} is not strictly inside the outer polygon")
                     raise TerrainError("boundary polygons touch")
-        for idx, hole in enumerate(self.holes):
-            if not _strictly_inside(hole[0], self.outer):
+        for idx, hole in enumerate(rings[1:]):
+            if not _strictly_inside(hole[0][0], rings[0]):
                 raise TerrainError(f"hole {idx} is not strictly inside the outer polygon")
-            for other in self.holes[:idx]:
-                if _strictly_inside(hole[0], other) or _strictly_inside(other[0], hole):
+            for other in rings[1 : idx + 1]:
+                if _strictly_inside(hole[0][0], other) or _strictly_inside(other[0][0], hole):
                     raise TerrainError("nested holes")
 
-    def boundary_edges(self) -> Iterator[tuple[QPoint, QPoint]]:
-        for poly in (self.outer,) + self.holes:
-            yield from _edges(poly)
+    def _lift(self, *points: QPoint):
+        """The scale D*q, where q is the points' common denominator, the
+        points at that scale as ints, and the edge rings at that scale."""
+        q = lcm(*(c.denominator for xy in points for c in xy))
+        rings = self._rings.get(q)
+        if rings is None:
+            rings = self._rings[q] = tuple(
+                tuple(((ax * q, ay * q), (bx * q, by * q)) for (ax, ay), (bx, by) in ring)
+                for ring in self._rings[1]
+            )
+        scale = q * self._den
+        return scale, [_scaled(xy, scale) for xy in points], rings
 
     def classify(self, p: QPoint) -> str:
-        for a, b in self.boundary_edges():
-            if _on_segment(p, a, b):
-                return "boundary"
-        if _strictly_inside(p, self.outer) and not any(
-            _strictly_inside(p, hole) for hole in self.holes
-        ):
-            return "interior"
-        return "outside"
+        _, (ip,), rings = self._lift(p)
+        return _classify(ip, rings)
 
     def is_interior(self, p: QPoint) -> bool:
         return self.classify(p) == "interior"
@@ -149,13 +182,14 @@ class Terrain:
         return self.classify(p) != "outside"
 
 
-def _validate_polygon(poly, name: str) -> None:
-    """The per-polygon checks; crossings are found by ``Terrain``'s pass."""
-    if len(poly) < 3:
+def _validate_polygon(ring, name: str) -> None:
+    """The per-polygon checks on one edge ring; crossings are found by
+    ``Terrain``'s pass."""
+    if len(ring) < 3:
         raise TerrainError(f"{name}: a polygon needs at least 3 vertices")
-    if sum(a[0] * b[1] - b[0] * a[1] for a, b in _edges(poly)) == 0:
+    if sum(a[0] * b[1] - b[0] * a[1] for a, b in ring) == 0:
         raise TerrainError(f"{name}: degenerate polygon")
-    if any(a == b for a, b in _edges(poly)):
+    if any(a == b for a, b in ring):
         raise TerrainError(f"{name}: repeated consecutive vertex")
 
 
@@ -187,39 +221,39 @@ def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> QPoint | None:
 
     Contact includes tangential grazing.  Returns the closest contact
     point (smallest parameter > 0) or None when the whole segment stays
-    interior.
+    interior.  Each edge's parameters t (along v -> u) and s (along the
+    edge) are int num/den pairs with den > 0, so the least t is found by
+    cross-multiplying; only the returned point is a ``Fraction``.
     """
-    if not t.is_interior(v):
+    scale, ((vx, vy), (ux, uy)), rings = t._lift(v, u)
+    if _classify((vx, vy), rings) != "interior":
         raise StartNotInterior(f"{v} is not interior")
-    if u == v:
+    dx, dy = ux - vx, uy - vy
+    if not (dx or dy):
         return None
-    dx, dy = u[0] - v[0], u[1] - v[1]
-    best: Fraction | None = None
-    for a, b in t.boundary_edges():
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        denom = dx * ey - dy * ex
-        wx, wy = a[0] - v[0], a[1] - v[1]
-        if denom != 0:
-            tt = (wx * ey - wy * ex) / denom
-            ss = (wx * dy - wy * dx) / denom
-            if 0 < tt <= 1 and 0 <= ss <= 1:
-                if best is None or tt < best:
-                    best = tt
-        else:
-            if wx * dy - wy * dx != 0:
+    best = None  # (num, den) of the least t
+    for ring in rings:
+        for (ax, ay), (bx, by) in ring:
+            ex, ey = bx - ax, by - ay
+            wx, wy = ax - vx, ay - vy
+            den = dx * ey - dy * ex
+            if den:
+                num, s = wx * ey - wy * ex, wx * dy - wy * dx
+                if den < 0:
+                    den, num, s = -den, -num, -s
+                if not 0 <= s <= den:
+                    continue
+            elif wx * dy - wy * dx:
                 continue  # parallel, not collinear
-            dd = dx * dx + dy * dy
-            ta = (wx * dx + wy * dy) / dd
-            tb = ((b[0] - v[0]) * dx + (b[1] - v[1]) * dy) / dd
-            lo, hi = min(ta, tb), max(ta, tb)
-            if hi <= 0 or lo > 1:
-                continue
-            tt = max(lo, _ZERO)
-            if tt > 0 and (best is None or tt < best):
-                best = tt
+            else:  # collinear: the edge's nearer end, if it lies ahead of v
+                den = dx * dx + dy * dy
+                num = min(wx * dx + wy * dy, (bx - vx) * dx + (by - vy) * dy)
+            if 0 < num <= den and (best is None or num * best[1] < best[0] * den):
+                best = (num, den)
     if best is None:
         return None
-    return (v[0] + best * dx, v[1] + best * dy)
+    num, den = best
+    return (Fraction(vx * den + num * dx, den * scale), Fraction(vy * den + num * dy, den * scale))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from tunnelmeet.geometry import (
     Terrain,
     TerrainError,
     TerrainGraph,
+    _edges,
+    _on_segment,
     _segments_intersect,
     first_boundary_hit,
 )
@@ -133,6 +135,78 @@ def planar_route(points):
 
 
 # ---------------------------------------------------------------------------
+# Fraction oracles of the int terrain kernel
+# ---------------------------------------------------------------------------
+
+def boundary_edges(t):
+    """Every edge of the terrain's polygons, outer first, in ``Fraction``s."""
+    for poly in (t.outer,) + t.holes:
+        yield from _edges(poly)
+
+
+def oracle_strictly_inside(p, poly):
+    """Ray casting in ``Fraction``s, dividing for the crossing abscissa;
+    p must not lie on the polygon boundary."""
+    x, y = p
+    inside = False
+    for (ax, ay), (bx, by) in _edges(poly):
+        if (ay > y) != (by > y):
+            xi = ax + (y - ay) * (bx - ax) / (by - ay)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
+def oracle_classify(t, p):
+    """``Terrain.classify`` in ``Fraction`` arithmetic."""
+    for a, b in boundary_edges(t):
+        if _on_segment(p, a, b):
+            return "boundary"
+    if oracle_strictly_inside(p, t.outer) and not any(
+        oracle_strictly_inside(p, hole) for hole in t.holes
+    ):
+        return "interior"
+    return "outside"
+
+
+def oracle_first_boundary_hit(t, v, u):
+    """``first_boundary_hit`` in ``Fraction`` arithmetic (v and u hold
+    ``Fraction``s): the parameters t and s are quotients and the least t
+    wins."""
+    if oracle_classify(t, v) != "interior":
+        raise StartNotInterior(f"{v} is not interior")
+    if u == v:
+        return None
+    dx, dy = u[0] - v[0], u[1] - v[1]
+    best = None
+    for a, b in boundary_edges(t):
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        denom = dx * ey - dy * ex
+        wx, wy = a[0] - v[0], a[1] - v[1]
+        if denom != 0:
+            tt = (wx * ey - wy * ex) / denom
+            ss = (wx * dy - wy * dx) / denom
+            if 0 < tt <= 1 and 0 <= ss <= 1:
+                if best is None or tt < best:
+                    best = tt
+        else:
+            if wx * dy - wy * dx != 0:
+                continue  # parallel, not collinear
+            dd = dx * dx + dy * dy
+            ta = (wx * dx + wy * dy) / dd
+            tb = ((b[0] - v[0]) * dx + (b[1] - v[1]) * dy) / dd
+            lo, hi = min(ta, tb), max(ta, tb)
+            if hi <= 0 or lo > 1:
+                continue
+            tt = max(lo, Fraction(0))
+            if tt > 0 and (best is None or tt < best):
+                best = tt
+    if best is None:
+        return None
+    return (v[0] + best * dx, v[1] + best * dy)
+
+
+# ---------------------------------------------------------------------------
 # Rational polyline oracle: the constructive witness of the connectivity lemma
 # ---------------------------------------------------------------------------
 
@@ -181,7 +255,7 @@ def _cell_ok(t, delta, cell, cache):
             sides = tuple(
                 (corners[k], corners[(k + 1) % 4]) for k in range(4)
             )
-            for a, b in t.boundary_edges():
+            for a, b in boundary_edges(t):
                 if any(_segments_intersect(a, b, s0, s1) for s0, s1 in sides):
                     ok = False
                     break

@@ -1,9 +1,18 @@
+import json
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import path_port_sequences, rational_path
+from conftest import (
+    oracle_classify,
+    oracle_first_boundary_hit,
+    path_port_sequences,
+    rational_path,
+)
 from tunnelmeet.enumeration import rational_pair, rational_pair_index
 from tunnelmeet.geometry import (
     StartNotInterior,
@@ -17,6 +26,7 @@ from tunnelmeet.geometry import (
     geometric_rv,
     gt_target,
     gt_traverse,
+    terrain_from_json,
 )
 from tunnelmeet.rendezvous import Limits
 
@@ -115,6 +125,89 @@ def test_terrain_rejection_messages(case):
     with pytest.raises(TerrainError) as info:
         Terrain(outer, holes)
     assert str(info.value) == message
+
+
+def _shipped_terrain(name):
+    doc = json.loads((resources.files("tunnelmeet") / "scenarios" / f"{name}.json").read_text())
+    return terrain_from_json(doc["world"]["terrain"])
+
+
+_KERNEL_TERRAINS = [_shipped_terrain(name) for name in ("square", "lshape", "hole", "approx")]
+_KERNEL_TERRAINS.append(Terrain(*_REJECTIONS["two-disjoint-holes"][:2]))
+_EPS = F(1, 2**60)
+_NUDGES = [(sx, sy) for sx in (-1, 0, 1) for sy in (-1, 0, 1) if sx or sy]
+
+
+def _along(a, b, lam):
+    return (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1]))
+
+
+@st.composite
+def _kernel_edge(draw, t):
+    poly = draw(st.sampled_from((t.outer,) + t.holes))
+    k = draw(st.integers(0, len(poly) - 1))
+    return poly[k], poly[(k + 1) % len(poly)]
+
+
+@st.composite
+def _kernel_point(draw, t, kinds=("edge", "nudged", "grid", "small")):
+    """On an edge or at a vertex, 2^-60 off an edge, on the 2^-30 grid
+    (like ``approx``'s starts), or with a small denominator."""
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("edge", "nudged"):
+        on = _along(*draw(_kernel_edge(t)), F(draw(st.integers(0, 8)), 8))
+        sx, sy = draw(st.sampled_from(_NUDGES)) if kind == "nudged" else (0, 0)
+        return (on[0] + sx * _EPS, on[1] + sy * _EPS)
+    den = 2**30 if kind == "grid" else draw(st.integers(1, 16))
+    xs, ys = zip(*t.outer)
+    return tuple(
+        F(draw(st.integers(int(min(cs) * den), int(max(cs) * den))), den)
+        for cs in (xs, ys)
+    )
+
+
+@st.composite
+def _kernel_segment(draw, t):
+    """Any two points, a segment toward (and past) a vertex, or a segment
+    on the line of an edge, starting off that edge."""
+    kind = draw(st.sampled_from(["points", "graze", "collinear"]))
+    if kind == "collinear":
+        a, b = draw(_kernel_edge(t))
+        mu = draw(st.sampled_from([F(-1, 2), F(-1, 8), F(9, 8), F(3, 2)]))
+        lam = draw(st.sampled_from([F(1, 4), F(1), F(2), F(4)])) * draw(st.sampled_from([1, -1]))
+        return _along(a, b, mu), _along(a, b, mu + lam)
+    v = draw(_kernel_point(t, ("nudged", "grid", "small")))
+    if kind == "points":
+        return v, draw(_kernel_point(t))
+    w = draw(st.sampled_from(draw(st.sampled_from((t.outer,) + t.holes))))
+    return v, _along(v, w, draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(3)])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(st.data())
+def test_int_kernel_matches_the_fraction_oracles(data):
+    """``classify`` and ``first_boundary_hit`` agree with their
+    ``Fraction`` oracles on the shipped terrains and a two-hole terrain."""
+    t = data.draw(st.sampled_from(_KERNEL_TERRAINS))
+    v, u = data.draw(_kernel_segment(t))
+    assert t.classify(v) == oracle_classify(t, v)
+    assert t.classify(u) == oracle_classify(t, u)
+    if oracle_classify(t, v) == "interior":
+        assert first_boundary_hit(t, v, u) == oracle_first_boundary_hit(t, v, u)
+    else:
+        with pytest.raises(StartNotInterior):
+            first_boundary_hit(t, v, u)
+
+
+def test_int_kernel_decides_where_float_division_errs():
+    """A point 3^-40 inside the unit square's right edge: on ints at the
+    scale 2*3^40, a float crossing abscissa rounds below it, so a ray cast
+    that divides puts it outside."""
+    sq = _shipped_terrain("square")
+    p = (1 - F(1, 3**40), F(1, 2))
+    assert sq.classify(p) == oracle_classify(sq, p) == "interior"
+    east = (F(2), F(1, 2))
+    assert first_boundary_hit(sq, p, east) == oracle_first_boundary_hit(sq, p, east) == (1, F(1, 2))
 
 
 def test_first_boundary_hit_examples():
