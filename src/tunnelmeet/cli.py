@@ -27,7 +27,6 @@ from .adversary import (
 )
 from .enumeration import ENUM_VERSION, Quadruple, phi, rational_pair
 from .geometry import (
-    StartNotInterior,
     approx_rendezvous,
     geometric_routes,
     geometric_rv,
@@ -150,14 +149,19 @@ _HANDLES = {
 }
 
 
-def _start_for(kind: str, world_doc: dict, agents: list, n: int):
+def _start_for(kind: str, world, world_doc: dict, agents: list, n: int):
     """Agent n's start as a node handle of the world; a start of the wrong
-    shape is a ``ScenarioError`` naming ``agents[n].start``."""
+    shape, or a terrain start that is not interior, is a ``ScenarioError``
+    naming ``agents[n].start``."""
     field = f"agents[{n}].start"
     start = agents[n].get("start")
     if kind == "terrain":
         if isinstance(start, list) and len(start) == 2:
-            return tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
+            point = tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
+            if not world.is_interior(point):
+                shown = json.dumps([format_rational(c) for c in point])
+                raise ScenarioError(f"{field} {shown} is not interior")
+            return point
         shape = "a point [x, y]"
     else:
         name = world_doc["name"] if kind == "generator" else kind
@@ -256,7 +260,7 @@ def cmd_run(args) -> int:
         adversary.get("strategies", [row[0] for row in DEFAULT_SUITE])
     )
     epsilon = doc.get("epsilon")
-    starts = [_start_for(kind, doc["world"], agents, n) for n in range(2)]
+    starts = [_start_for(kind, world, doc["world"], agents, n) for n in range(2)]
     labels = [a["label"] for a in agents]
     if epsilon is not None:
         if kind != "terrain":
@@ -291,7 +295,7 @@ def cmd_route(args) -> int:
     kind, world = _build_world(doc)
     limits = _limits(doc, args)
     agent = doc["agents"][args.agent]
-    start = _start_for(kind, doc["world"], doc["agents"], args.agent)
+    start = _start_for(kind, world, doc["world"], doc["agents"], args.agent)
     if kind == "terrain":
         route = geometric_rv(world, start, agent["label"], limits)
         text = dump_lines(
@@ -396,7 +400,7 @@ def main(argv=None) -> int:
     except StepBudgetExceeded as exc:
         sys.stderr.write(f"error: StepBudgetExceeded: {exc}\n")
         return 1
-    except (ScenarioError, GraphError, StartNotInterior, OSError, KeyError, ValueError) as exc:
+    except (ScenarioError, GraphError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 

@@ -11,6 +11,7 @@ only total query), though no built-in generator has one.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -187,9 +188,20 @@ def build_finite_graph(spec: dict) -> FiniteGraph:
     return FiniteGraph(nodes, adj)
 
 
+#: the documented rational string form: [+-]num or [+-]num/den in decimal digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
-    """Parse ``"num/den"`` strings (and ints/Fractions) to an exact Fraction."""
-    if isinstance(value, (Fraction, int, str)):
+    """Parse an int, a Fraction or a ``"num/den"`` string (optional sign,
+    decimal digits, optional ``/den``) to an exact Fraction.  Any other
+    form (a bool, a float, ``"0.5"``, ``"1e5"``, ``"1_000"``) is a
+    ``GraphError``, so no input text sizes a number by its exponent."""
+    if (
+        type(value) is int
+        or isinstance(value, Fraction)
+        or (isinstance(value, str) and _RATIONAL.fullmatch(value))
+    ):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -107,6 +107,10 @@ def _set_terrain_x(doc, value):
         ("k2", _set_edge_len, "one"),
         ("hole", _set_terrain_x, "5/0"),
         ("hole", _set_terrain_x, "5/8x"),
+        ("k2", _set_edge_len, "1e5"),
+        ("hole", _set_terrain_x, "5e-1"),
+        ("hole", _set_terrain_x, "0.5"),
+        ("k2", _set_edge_len, "1_000"),
     ],
 )
 def test_run_rejects_bad_rationals(tmp_path, capsys, name, edit, value):
@@ -181,39 +185,62 @@ def _edited(name, keys, value):
     return doc
 
 
+_MALFORMED = [  # (doc, the field named before "must be"); ids as before
+    (_edited("k2", ("agents", 0, "start"), ["A"]), "agents[0].start"),
+    (_edited("k2", ("agents", 1, "start"), {"a": 1}), "agents[1].start"),
+    (_edited("line", ("agents", 0, "start"), "x"), "agents[0].start"),
+    (_edited("line", ("world", "name"), "infinite_grid"), "agents[0].start"),
+    (_edited("line", ("world", "name"), _DELETE), "world.name"),
+    (_edited("k2", ("world", "graph"), _DELETE), "world.graph"),
+    (_edited("square", ("world", "terrain"), _DELETE), "world.terrain"),
+    (_edited("square", ("agents", 0, "start"), ["1/2"]), "agents[0].start"),
+    (_edited("square", ("agents", 1, "start"), ["1/2", "x"]), "agents[1].start[1]"),
+    (_edited("hole", ("epsilon",), [1]), "epsilon"),
+    (_edited("k2", ("world", "graph", "edges", 0, "pu"), "1"), "world.graph.edges[0].pu"),
+    (_edited("k2", ("world", "graph", "edges", 0, "pu"), _DELETE), "world.graph.edges[0].pu"),
+    (_edited("k2", ("world", "graph", "nodes", 0), ["A"]), "world.graph.nodes[0]"),
+    (_edited("k2", ("world", "graph", "nodes"), _DELETE), "world.graph.nodes"),
+    (_edited("k2", ("world", "graph", "edges"), 5), "world.graph.edges"),
+    (_edited("square", ("world", "terrain", "outer"), 5), "world.terrain.outer"),
+    (_edited("square", ("world", "terrain", "outer"), _DELETE), "world.terrain.outer"),
+    (
+        _edited("square", ("world", "terrain", "outer", 0), ["0/1"]),
+        "world.terrain.outer[0]",
+    ),
+    (_edited("square", ("world", "terrain", "holes"), 5), "world.terrain.holes"),
+    (_edited("square", ("agents", 0, "start"), ["5e-1", "1/2"]), "agents[0].start[0]"),
+]
+_NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior")
+    (_edited("square", ("agents", 1, "start"), ["3/2", "1/2"]), 'agents[1].start ["3/2", "1/2"]'),
+    (_edited("hole", ("agents", 0, "start"), ["1/2", 1]), 'agents[0].start ["1/2", "1/1"]'),
+]
+
+
 @pytest.mark.parametrize(
-    "doc,field",
+    "doc,field,says",
     [
-        (_edited("k2", ("agents", 0, "start"), ["A"]), "agents[0].start"),
-        (_edited("k2", ("agents", 1, "start"), {"a": 1}), "agents[1].start"),
-        (_edited("line", ("agents", 0, "start"), "x"), "agents[0].start"),
-        (_edited("line", ("world", "name"), "infinite_grid"), "agents[0].start"),
-        (_edited("line", ("world", "name"), _DELETE), "world.name"),
-        (_edited("k2", ("world", "graph"), _DELETE), "world.graph"),
-        (_edited("square", ("world", "terrain"), _DELETE), "world.terrain"),
-        (_edited("square", ("agents", 0, "start"), ["1/2"]), "agents[0].start"),
-        (_edited("square", ("agents", 1, "start"), ["1/2", "x"]), "agents[1].start[1]"),
-        (_edited("hole", ("epsilon",), [1]), "epsilon"),
-        (_edited("k2", ("world", "graph", "edges", 0, "pu"), "1"), "world.graph.edges[0].pu"),
-        (_edited("k2", ("world", "graph", "edges", 0, "pu"), _DELETE), "world.graph.edges[0].pu"),
-        (_edited("k2", ("world", "graph", "nodes", 0), ["A"]), "world.graph.nodes[0]"),
-        (_edited("k2", ("world", "graph", "nodes"), _DELETE), "world.graph.nodes"),
-        (_edited("k2", ("world", "graph", "edges"), 5), "world.graph.edges"),
-        (_edited("square", ("world", "terrain", "outer"), 5), "world.terrain.outer"),
-        (_edited("square", ("world", "terrain", "outer"), _DELETE), "world.terrain.outer"),
-        (
-            _edited("square", ("world", "terrain", "outer", 0), ["0/1"]),
-            "world.terrain.outer[0]",
-        ),
-        (_edited("square", ("world", "terrain", "holes"), 5), "world.terrain.holes"),
+        pytest.param(doc, field, "must be", id=f"doc{i}-{field}")
+        for i, (doc, field) in enumerate(_MALFORMED)
+    ]
+    + [
+        pytest.param(doc, field, "is not interior", id=f"not-interior-{i}")
+        for i, (doc, field) in enumerate(_NOT_INTERIOR)
     ],
 )
-def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, field):
+def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, field, says):
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ScenarioError: ")
-    assert f" {field} must be " in err
+    assert f" {field} {says}" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("agent", [0, 1])
+def test_route_non_interior_start_names_its_field(tmp_path, capsys, agent):
+    doc = _edited("square", ("agents", agent, "start"), ["3/2", "1/2"])
+    assert main(["route", write_scenario(tmp_path, doc), "--agent", str(agent)]) == 2
+    err = capsys.readouterr().err
+    assert err == f'error: ScenarioError: agents[{agent}].start ["3/2", "1/2"] is not interior\n'
 
 
 def _paths(node, prefix):

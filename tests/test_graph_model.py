@@ -9,11 +9,13 @@ from tunnelmeet.graph_model import (
     DanglingEdge,
     Disconnected,
     DuplicatePort,
+    GraphError,
     InvalidPort,
     UnknownNode,
     build_finite_graph,
     generator,
     generator_origin,
+    parse_rational,
     random_connected_graph,
 )
 
@@ -146,3 +148,20 @@ def test_generator_determinism():
     b = generator("infinite_grid")
     for p in (1, 2, 3, 4):
         assert a.traverse((3, -2), p) == b.traverse((3, -2), p)
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [(7, 7), (Fraction(2, 3), Fraction(2, 3)), ("-3", -3), ("+4/6", Fraction(2, 3))],
+)
+def test_parse_rational_accepts_the_documented_forms(value, want):
+    assert parse_rational(value) == want
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 0.5, "0.5", "1e5", "5e-1", "1e10000000", "1_000", " 1/2", "1/2\n", "1/-2", "5/0", "٣"],
+)
+def test_parse_rational_rejects_every_other_form(value):
+    with pytest.raises(GraphError, match="not an exact rational"):
+        parse_rational(value)
