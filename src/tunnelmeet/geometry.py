@@ -123,9 +123,8 @@ class Terrain:
     holes: tuple[tuple[QPoint, ...], ...] = ()
     #: the lcm D of the vertices' denominators
     _den: int = field(init=False, repr=False, compare=False)
-    #: q -> the edge rings (outer first) with vertices times D*q, as ints;
-    #: a memo per terrain
-    _rings: dict = field(init=False, repr=False, compare=False)
+    #: the edge rings, outer first, with vertices times D as ints
+    _rings: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """One pass over all pairs of boundary edges, skipping adjacent
@@ -136,7 +135,7 @@ class Terrain:
         den = lcm(*(c.denominator for poly in polys for xy in poly for c in xy))
         rings = tuple(tuple(_edges(tuple(_scaled(xy, den) for xy in poly))) for poly in polys)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rings", {1: rings})
+        object.__setattr__(self, "_rings", rings)
         names = ["outer"] + [f"hole {idx}" for idx in range(len(self.holes))]
         for ring, name in zip(rings, names):
             _validate_polygon(ring, name)
@@ -162,12 +161,10 @@ class Terrain:
         """The scale D*q, where q is the points' common denominator, the
         points at that scale as ints, and the edge rings at that scale."""
         q = lcm(*(c.denominator for xy in points for c in xy))
-        rings = self._rings.get(q)
-        if rings is None:
-            rings = self._rings[q] = tuple(
-                tuple(((ax * q, ay * q), (bx * q, by * q)) for (ax, ay), (bx, by) in ring)
-                for ring in self._rings[1]
-            )
+        rings = tuple(
+            tuple(((ax * q, ay * q), (bx * q, by * q)) for (ax, ay), (bx, by) in ring)
+            for ring in self._rings
+        )
         scale = q * self._den
         return scale, [_scaled(xy, scale) for xy in points], rings
 
@@ -237,18 +234,14 @@ def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> QPoint | None:
             ex, ey = bx - ax, by - ay
             wx, wy = ax - vx, ay - vy
             den = dx * ey - dy * ex
-            if den:
-                num, s = wx * ey - wy * ex, wx * dy - wy * dx
-                if den < 0:
-                    den, num, s = -den, -num, -s
-                if not 0 <= s <= den:
-                    continue
-            elif wx * dy - wy * dx:
-                continue  # parallel, not collinear
-            else:  # collinear: the edge's nearer end, if it lies ahead of v
-                den = dx * dx + dy * dy
-                num = min(wx * dx + wy * dy, (bx - vx) * dx + (by - vy) * dy)
-            if 0 < num <= den and (best is None or num * best[1] < best[0] * den):
+            if not den:
+                # parallel: a collinear edge is first met at an end vertex,
+                # which the adjacent non-parallel edge also reports
+                continue
+            num, s = wx * ey - wy * ex, wx * dy - wy * dx
+            if den < 0:
+                den, num, s = -den, -num, -s
+            if 0 <= s <= den and 0 < num <= den and (best is None or num * best[1] < best[0] * den):
                 best = (num, den)
     if best is None:
         return None

@@ -219,11 +219,11 @@ _NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior
 @pytest.mark.parametrize(
     "doc,field,says",
     [
-        pytest.param(doc, field, "must be", id=f"doc{i}-{field}")
+        pytest.param(doc, field, "must be ", id=f"doc{i}-{field}")
         for i, (doc, field) in enumerate(_MALFORMED)
     ]
     + [
-        pytest.param(doc, field, "is not interior", id=f"not-interior-{i}")
+        pytest.param(doc, field, "is not interior\n", id=f"not-interior-{i}")
         for i, (doc, field) in enumerate(_NOT_INTERIOR)
     ],
 )
