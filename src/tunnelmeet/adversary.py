@@ -21,18 +21,19 @@ T = 840 * D, and every arc position a multiple of 1/A with A = 4 * D:
 1/840 = 1/lcm(1..8)), ``jitter`` a/b with a, b <= 4 (1/12),
 ``alternating`` whole units, and ``unit_speed`` and ``frozen_prefix`` a
 step's length after an integer hold; arcs are sums of lengths plus 1/4
-or 3/4 of one.  The streaming checker scales each piece to ints once,
-the cells are decided by integer sign tests and cross-multiplication,
-and ``Fraction``s are built only for a verdict's time, location and
-``min_distance_sq``.  A piece off the lattice, which only a foreign
-schedule can yield, is a ``ScheduleMismatch``: nothing is rounded.
+or 3/4 of one.  A ``WalkSchedule`` is generated on that lattice as ints,
+in one walk of its route; a foreign schedule's pieces are scaled onto
+it, and a piece off it is a ``ScheduleMismatch``: nothing is rounded.
+Cells are decided by integer sign tests and cross-multiplication, and
+``Fraction``s are built only for a verdict's time, location and
+``min_distance_sq``.
 
 Oracles that the verdict path does not call, kept so that tests can
-check the sweep independently: ``WalkSchedule.position_at``,
-``breakpoints`` and ``end_time`` (the schedule read directly, which the
-fine-grid numpy sampler uses), ``graph_point_at`` and ``planar_point_at``
-(positions by arc length), and ``validate_schedule`` (the streaming
-checker run to the end, plus coverage).
+check the sweep independently: ``WalkSchedule.pieces``, ``position_at``,
+``breakpoints`` and ``end_time`` (the schedule read in ``Fraction``s,
+which the fine-grid numpy sampler uses), ``graph_point_at`` and
+``planar_point_at`` (positions by arc length), and ``validate_schedule``
+(the streaming checker run to the end, plus coverage).
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from fractions import Fraction
 from math import lcm
 from random import Random
 from typing import Iterator
-
-_ZERO = Fraction(0)
-_QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
 
 
 class ScheduleMismatch(Exception):
@@ -87,66 +84,67 @@ class WalkSchedule:
     A route is anything with a step count ``length``, a ``steps()``
     iterator whose steps carry their arc ``length``, and ``length_den``,
     the lcm of those lengths' denominators: a graph ``Route``, or a
-    planar route viewed over one.  ``pieces()`` yields
-    ``(t0, t1, step_index, a0, a1)``: during ``[t0, t1]`` the arc position
-    moves affinely from ``a0`` to ``a1``, staying within step
-    ``step_index``.  Pieces are generated lazily so that long routes cost
-    nothing until simulated.
-
-    Every value is a ``Fraction`` on the sweep's lattice: times are
-    multiples of 1/(840 * D) and arcs of 1/(4 * D), D being the lcm of the
-    route's step-length denominators.  ``random_speeds`` steps take a/b
-    with a, b <= 8 and ``jitter``'s three moves a/b with a, b <= 4, both
-    dividing 1/840; ``alternating`` steps take whole units; ``unit_speed``
-    and ``frozen_prefix`` take each step's length (after an integer hold);
-    ``jitter`` turns at 1/4 and 3/4 of a step's length.
+    planar route viewed over one.  A piece ``(t0, t1, step_index, a0,
+    a1)`` says that during ``[t0, t1]`` the arc position moves affinely
+    from ``a0`` to ``a1``, staying within step ``step_index``.  Pieces are
+    generated lazily, on the lattice of the module docstring, by
+    ``lattice_pieces``; ``pieces()`` is their ``Fraction`` view.
     """
 
     route: object
     strategy: str
     seed: int
 
-    def pieces(self) -> Iterator[tuple]:
-        rng = Random(f"{self.strategy}:{self.seed}")
-        t = _ZERO
-        arc = _ZERO
+    def lattice_pieces(self, tscale: int, ascale: int) -> Iterator[tuple]:
+        """Pieces as ints ``(t0, t1, m, a0, a1, step, lo, hi)``: times
+        scaled by ``tscale = 840 * D`` and arcs by ``ascale = 4 * D`` (D a
+        multiple of the route's ``length_den``), each with its step and the
+        step's scaled arc interval.  The route's steps are read once.  A
+        route without steps has only the ``frozen_prefix`` hold, on step 0
+        with step None and the interval [0, 0]."""
         strat = self.strategy
-        if strat == "frozen_prefix":
-            hold = Fraction(rng.randint(1, 8))
-            yield (t, hold, 0, arc, arc)
-            t = hold
+        if strat in ("random_speeds", "jitter", "frozen_prefix"):  # the others draw nothing
+            rng = Random(f"{strat}:{self.seed}")
+        hold = tscale * rng.randint(1, 8) if strat == "frozen_prefix" else 0
+        per_arc = tscale // ascale  # time to walk one arc unit at unit speed
+        t = hi = 0
         for m, step in enumerate(self.route.steps()):
-            length = step.length
-            end = arc + length
+            num, den = step.length.as_integer_ratio()
+            lo, hi = hi, hi + num * ascale // den
+            if hold:
+                yield 0, hold, 0, 0, 0, step, lo, hi
+                t, hold = hold, 0
             if strat in ("unit_speed", "frozen_prefix"):
-                t1 = t + length
-                yield (t, t1, m, arc, end)
-            elif strat == "alternating-first":
-                mid, t1 = t + 1, t + 2
-                yield (t, mid, m, arc, end)
-                yield (mid, t1, m, end, end)
-            elif strat == "alternating-second":
-                mid, t1 = t + 1, t + 2
-                yield (t, mid, m, arc, arc)
-                yield (mid, t1, m, arc, end)
+                t1 = t + (hi - lo) * per_arc
+                yield t, t1, m, lo, hi, step, lo, hi
+            elif strat in ("alternating-first", "alternating-second"):
+                # one unit of time on the move, one parked at `turn`
+                mid, t1 = t + tscale, t + 2 * tscale
+                turn = hi if strat == "alternating-first" else lo
+                yield t, mid, m, lo, turn, step, lo, hi
+                yield mid, t1, m, turn, hi, step, lo, hi
             elif strat == "random_speeds":
-                t1 = t + Fraction(rng.randint(1, 8), rng.randint(1, 8))
-                yield (t, t1, m, arc, end)
+                t1 = t + tscale * rng.randint(1, 8) // rng.randint(1, 8)
+                yield t, t1, m, lo, hi, step, lo, hi
             elif strat == "jitter":
-                d1 = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-                d2 = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-                d3 = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-                fwd = arc + _THREE_QUARTERS * length
-                back = arc + _QUARTER * length
-                ta = t + d1
-                tb = ta + d2
-                t1 = tb + d3
-                yield (t, ta, m, arc, fwd)
-                yield (ta, tb, m, fwd, back)
-                yield (tb, t1, m, back, end)
+                d1, d2, d3 = (tscale * rng.randint(1, 4) // rng.randint(1, 4) for _ in range(3))
+                fwd, back = lo + 3 * (hi - lo) // 4, lo + (hi - lo) // 4
+                ta, tb, t1 = t + d1, t + d1 + d2, t + d1 + d2 + d3
+                yield t, ta, m, lo, fwd, step, lo, hi
+                yield ta, tb, m, fwd, back, step, lo, hi
+                yield tb, t1, m, back, hi, step, lo, hi
             else:
                 raise ValueError(f"unknown strategy {self.strategy!r}")
-            t, arc = t1, end
+            t = t1
+        if hold:  # a route without steps: parked at its start
+            yield 0, hold, 0, 0, 0, None, 0, 0
+
+    def pieces(self) -> Iterator[tuple]:
+        """``(t0, t1, step_index, a0, a1)`` in ``Fraction``s, read off
+        ``lattice_pieces`` at the route's own scale."""
+        t, a = 840 * self.route.length_den, 4 * self.route.length_den
+        for t0, t1, m, a0, a1, _, _, _ in self.lattice_pieces(t, a):
+            yield Fraction(t0, t), Fraction(t1, t), m, Fraction(a0, a), Fraction(a1, a)
 
     def breakpoints(self) -> list[tuple[Fraction, Fraction]]:
         """Explicit (time, arc position) breakpoints (materializes)."""
@@ -158,14 +156,11 @@ class WalkSchedule:
         return out
 
     def end_time(self) -> Fraction:
-        t = _ZERO
-        for _, t1, _, _, _ in self.pieces():
-            t = t1
-        return t
+        return max((t1 for _, t1, _, _, _ in self.pieces()), default=Fraction(0))
 
     def position_at(self, t: Fraction) -> Fraction:
         """Arc position at time t (exact)."""
-        last = _ZERO
+        last = Fraction(0)
         for t0, t1, _, a0, a1 in self.pieces():
             if t < t0:
                 break
@@ -207,31 +202,42 @@ def _lattice(*walks) -> tuple[int, int]:
     return 840 * d, 4 * d
 
 
+def _foreign_pieces(route, schedule, tscale: int, ascale: int):
+    """The ``Fraction`` pieces of a schedule of any type, put on the
+    lattice in the shape of ``WalkSchedule.lattice_pieces``, each with the
+    step it names and that step's interval as read off the route here."""
+    steps = enumerate(route.steps())
+    cur, step, lo, hi = -1, None, 0, 0  # `step` is step `cur`, over [lo, hi]
+    for t0, t1, m, a0, a1 in schedule.pieces():
+        t0, t1 = _on_lattice(t0, tscale, "time"), _on_lattice(t1, tscale, "time")
+        a0, a1 = _on_lattice(a0, ascale, "arc"), _on_lattice(a1, ascale, "arc")
+        while cur < m and (read := next(steps, None)):
+            (cur, step), lo = read, hi
+            hi = lo + _on_lattice(step.length, ascale, "step length")
+        yield t0, t1, m, a0, a1, step, lo, hi
+
+
 def _checked_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
     """Stream ``(t0, t1, m, o0, o1, step, length)`` on the lattice: each
     schedule piece's times scaled by ``tscale``, its arc positions as
     offsets into step ``m`` scaled by ``ascale``, the route step and that
-    step's scaled arc ``length``, all ints.
+    step's scaled arc ``length``, all ints.  A ``WalkSchedule`` supplies
+    its lattice pieces; any other schedule, a subclass included, goes
+    through ``_foreign_pieces``.
 
     The walk invariants are enforced as the pieces stream, so that a
-    violation surfaces before it can corrupt a verdict: every value lies
-    on the lattice, the walk starts at time 0 and position 0, is
-    continuous, time never decreases, the step index never decreases, and
-    the position stays inside the step's arc interval.  A route without
-    steps has one position, its start: a piece on it names step 0, has
-    the arc interval [0, 0] and step None.
+    violation surfaces before it can corrupt a verdict: the walk starts
+    at time 0 and position 0, is continuous, time never decreases, the
+    step index never decreases, and the position stays inside the step's
+    arc interval.
     """
-    n_steps = route.length
-    steps = route.steps()
-    step = None
-    cur = -1  # index of `step`
-    lo = hi = 0
-    prev_t = prev_a = None
-    for t0, t1, m, a0, a1 in schedule.pieces():
-        t0 = _on_lattice(t0, tscale, "time")
-        t1 = _on_lattice(t1, tscale, "time")
-        a0 = _on_lattice(a0, ascale, "arc")
-        a1 = _on_lattice(a1, ascale, "arc")
+    if type(schedule) is WalkSchedule:
+        pieces = schedule.lattice_pieces(tscale, ascale)
+    else:
+        pieces = _foreign_pieces(route, schedule, tscale, ascale)
+    n_steps = max(route.length, 1)
+    prev_t, prev_a, prev_m = None, None, -1
+    for t0, t1, m, a0, a1, step, lo, hi in pieces:
         if prev_t is None:
             if t0 != 0 or a0 != 0:
                 raise ScheduleMismatch("walk must start at time 0, position 0")
@@ -239,19 +245,13 @@ def _checked_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
             raise ScheduleMismatch("discontinuous schedule pieces")
         if t1 < t0 or (t1 == t0 and a1 != a0):
             raise ScheduleMismatch("time must not decrease")
-        if not 0 <= m < max(n_steps, 1):
+        if not 0 <= m < n_steps:
             raise ScheduleMismatch(f"piece names step {m} outside the route")
-        if m < cur:
+        if m < prev_m:
             raise ScheduleMismatch(f"step index decreases to {m}")
-        while cur < m:
-            step = next(steps, None)
-            lo = hi
-            if step is not None:
-                hi = lo + _on_lattice(step.length, ascale, "step length")
-            cur += 1
-        if min(a0, a1) < lo or max(a0, a1) > hi:
+        if not (lo <= a0 <= hi and lo <= a1 <= hi):
             raise ScheduleMismatch(f"position leaves step {m} arc interval")
-        prev_t, prev_a = t1, a1
+        prev_t, prev_a, prev_m = t1, a1, m
         yield t0, t1, m, a0 - lo, a1 - lo, step, hi - lo
 
 
@@ -470,11 +470,10 @@ class _PlanarPiece:
 def _scaled_segment(start, end):
     """``(sx, sy, dx, dy, q)``: a segment's start and direction as ints
     over the lcm ``q`` of its coordinates' denominators."""
-    (sx, sy), (ex, ey) = start, end
-    q = lcm(sx.denominator, sy.denominator, ex.denominator, ey.denominator)
-    sx, sy = sx.numerator * (q // sx.denominator), sy.numerator * (q // sy.denominator)
-    ex, ey = ex.numerator * (q // ex.denominator), ey.numerator * (q // ey.denominator)
-    return sx, sy, ex - sx, ey - sy, q
+    (a, da), (b, db), (c, dc), (d, dd) = (x.as_integer_ratio() for x in (*start, *end))
+    q = lcm(da, db, dc, dd)
+    sx, sy = a * (q // da), b * (q // db)
+    return sx, sy, c * (q // dc) - sx, d * (q // dd) - sy, q
 
 
 def _planar_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
@@ -551,7 +550,7 @@ def detect_meeting_planar(r1, r2, w1: WalkSchedule, w2: WalkSchedule) -> Meeting
     if hit is not None:
         tn, td, p = hit
         return MeetingVerdict(
-            True, Fraction(tn, td * tscale), p.point(tn, td), min_distance_sq=_ZERO
+            True, Fraction(tn, td * tscale), p.point(tn, td), min_distance_sq=Fraction(0)
         )
     if best[0] is None:
         return MeetingVerdict(False)
@@ -568,7 +567,7 @@ def graph_point_at(route, arc: Fraction):
     Self-contained representation (no shared orientation table): a node
     handle, or the edge id with the offset from both endpoints.
     """
-    cum = _ZERO
+    cum = Fraction(0)
     last = None
     for step in route.steps():
         nxt = cum + step.length

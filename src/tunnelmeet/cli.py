@@ -80,9 +80,10 @@ def _load_scenario(path: str) -> dict:
         raise ScenarioError(
             f"{path}: adversary.strategies must be a list of strings, got {names!r}"
         )
-    l1, l2 = (a.get("label") for a in agents)
-    if not (isinstance(l1, int) and isinstance(l2, int) and 0 < l1 and 0 < l2):
-        raise ScenarioError(f"{path}: labels must be positive integers")
+    l1, l2 = labels = [a.get("label") for a in agents]
+    for n, label in enumerate(labels):
+        if not (type(label) is int and label > 0):  # a JSON true is no label
+            raise ScenarioError(f"{path}: agents[{n}].label must be a positive int, got {label!r}")
     if l1 == l2:
         raise ScenarioError(f"{path}: agent labels must be distinct")
     return doc

@@ -76,19 +76,22 @@ _EMPTY = _Leaf(())
 def _iter_node(node, rev: bool) -> Iterator[EdgeTraversal]:
     # Explicit stack of (kid iterator, flip), one per open _Cat: nested
     # generators would pay O(depth) per step, pushing every kid O(fan-out).
-    stack = [(iter((node,)), rev)]
-    while stack:
-        kids, flip = stack[-1]
-        for node in kids:
-            rev = flip
-            while isinstance(node, _Rev):
+    stack = []
+    while True:
+        while type(node) is not _Leaf:  # down to the first leaf below node
+            if type(node) is _Rev:
                 node, rev = node.kid, not rev
-            if isinstance(node, _Cat):
-                stack.append((iter(reversed(node.kids) if rev else node.kids), rev))
-                break
-            yield from (node.reversed_steps() if rev else node.steps)
-        else:
+            else:
+                kids = iter(reversed(node.kids) if rev else node.kids)
+                stack.append((kids, rev))
+                node = next(kids)
+        yield from (node.reversed_steps() if rev else node.steps)
+        # up to the innermost open _Cat with a kid not yet walked
+        while stack and (node := next(stack[-1][0], None)) is None:
             stack.pop()
+        if not stack:
+            return
+        rev = stack[-1][1]
 
 
 def _step_at(node, i: int) -> EdgeTraversal:

@@ -3,6 +3,7 @@
 from collections import deque
 from fractions import Fraction
 from itertools import islice
+from random import Random
 
 from tunnelmeet.enumeration import Quadruple, phi_index, rational_pair_index
 from tunnelmeet.geometry import (
@@ -204,6 +205,47 @@ def oracle_first_boundary_hit(t, v, u):
     if best is None:
         return None
     return (v[0] + best * dx, v[1] + best * dy)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle of the lattice schedules
+# ---------------------------------------------------------------------------
+
+def oracle_pieces(route, strategy, seed):
+    """The named strategy's pieces ``(t0, t1, m, a0, a1)`` in ``Fraction``
+    arithmetic, as the schedules were written before they were generated
+    on the integer lattice; one ``Random`` draw per value, in that order."""
+    rng = Random(f"{strategy}:{seed}")
+    t = arc = Fraction(0)
+    if strategy == "frozen_prefix":
+        hold = Fraction(rng.randint(1, 8))
+        yield (t, hold, 0, arc, arc)
+        t = hold
+    for m, step in enumerate(route.steps()):
+        length = step.length
+        end = arc + length
+        if strategy in ("unit_speed", "frozen_prefix"):
+            t1 = t + length
+            yield (t, t1, m, arc, end)
+        elif strategy == "alternating-first":
+            t1 = t + 2
+            yield (t, t + 1, m, arc, end)
+            yield (t + 1, t1, m, end, end)
+        elif strategy == "alternating-second":
+            t1 = t + 2
+            yield (t, t + 1, m, arc, arc)
+            yield (t + 1, t1, m, arc, end)
+        elif strategy == "random_speeds":
+            t1 = t + Fraction(rng.randint(1, 8), rng.randint(1, 8))
+            yield (t, t1, m, arc, end)
+        else:  # jitter: forward to 3/4 of the step, back to 1/4, on to its end
+            d1, d2, d3 = (Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(3))
+            fwd, back = arc + length * 3 / 4, arc + length / 4
+            ta, tb, t1 = t + d1, t + d1 + d2, t + d1 + d2 + d3
+            yield (t, ta, m, arc, fwd)
+            yield (ta, tb, m, fwd, back)
+            yield (tb, t1, m, back, end)
+        t, arc = t1, end
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import hashlib
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import k2, p3, planar_route, true_quadruple
+from conftest import k2, oracle_pieces, p3, planar_route, true_quadruple
 from tunnelmeet.adversary import (
     DEFAULT_SUITE,
     STRATEGIES,
     ScheduleMismatch,
+    WalkSchedule,
+    _checked_pieces,
     detect_meeting_graph,
     detect_meeting_planar,
     graph_point_at,
@@ -30,6 +34,10 @@ from tunnelmeet.routes import (
 
 def q(x, y=1):
     return F(x, y)
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 def test_unit_speed_single_segment_breakpoints():
@@ -72,13 +80,13 @@ def test_validate_rejects_bad_schedules():
             return iter(self._pieces)
 
     # never reaches the far endpoint
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(ScheduleMismatch, match=_exactly("walk does not cover the whole route")):
         validate_schedule(r, Broken([(F(0), F(1), 0, F(0), F(1, 2))]))
     # leaves the segment interval
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(ScheduleMismatch, match=_exactly("position leaves step 0 arc interval")):
         validate_schedule(r, Broken([(F(0), F(1), 0, F(0), F(2))]))
     # discontinuous
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(ScheduleMismatch, match=_exactly("discontinuous schedule pieces")):
         validate_schedule(
             r,
             Broken(
@@ -200,7 +208,7 @@ def test_detect_rejects_invalid_schedule_mid_stream():
             yield (F(0), F(1, 2), 0, F(0), F(1, 4))
             yield (F(1), F(2), 0, F(1, 2), F(1))
 
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(ScheduleMismatch, match=_exactly("discontinuous schedule pieces")):
         detect_meeting_graph(g, r1, r2, Broken(), make_schedule("unit_speed", r2, 0))
 
 
@@ -209,13 +217,14 @@ def test_both_sweeps_reject_a_schedule_of_another_route():
     g = k2()
     r1 = route_from_steps("A", [g.traverse("A", 1)])
     r2 = route_from_steps("B", [g.traverse("B", 1)])
-    with pytest.raises(ScheduleMismatch, match="different route"):
+    other_route = _exactly("schedule was built for a different route")
+    with pytest.raises(ScheduleMismatch, match=other_route):
         detect_meeting_graph(
             g, r1, r2, make_schedule("unit_speed", r2, 0), make_schedule("unit_speed", r2, 0)
         )
     p1 = planar_route([(q(0), q(0)), (q(1), q(0))])
     p2 = planar_route([(q(5), q(5)), (q(6), q(5))])
-    with pytest.raises(ScheduleMismatch, match="different route"):
+    with pytest.raises(ScheduleMismatch, match=other_route):
         detect_meeting_planar(
             p1, p2, make_schedule("unit_speed", p2, 0), make_schedule("unit_speed", p2, 0)
         )
@@ -239,14 +248,16 @@ def test_off_lattice_piece_is_rejected_not_rounded():
         return schedule
 
     off_time = (F(0), F(1, 11), 0, F(0), F(1))
-    with pytest.raises(ScheduleMismatch, match="time 1/11 is off"):
+    says = _exactly("time 1/11 is off the schedule lattice 1/840")
+    with pytest.raises(ScheduleMismatch, match=says):
         detect_meeting_graph(g, r1, r2, foreign(r1, off_time), make_schedule("unit_speed", r2, 0))
-    with pytest.raises(ScheduleMismatch, match="time 1/11 is off"):
+    with pytest.raises(ScheduleMismatch, match=says):
         detect_meeting_planar(p1, p2, foreign(p1, off_time), make_schedule("unit_speed", p2, 0))
-    with pytest.raises(ScheduleMismatch, match="time 1/11 is off"):
+    with pytest.raises(ScheduleMismatch, match=says):
         validate_schedule(r1, foreign(r1, off_time))
     off_arc = (F(0), F(1), 0, F(0), F(1, 3))
-    with pytest.raises(ScheduleMismatch, match="arc 1/3 is off"):
+    says = _exactly("arc 1/3 is off the schedule lattice 1/4")
+    with pytest.raises(ScheduleMismatch, match=says):
         validate_schedule(r1, foreign(r1, off_arc))
     # the same walk on the lattice is accepted
     validate_schedule(
@@ -380,6 +391,165 @@ def test_route_of_two_to_the_64_steps():
         g, r, partner, make_schedule("unit_speed", r, 0), make_schedule("unit_speed", partner, 0)
     )
     assert v.met and v.time == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Schedules generated on the integer lattice
+# ---------------------------------------------------------------------------
+
+def _thirds_and_fifths():
+    """A graph with edge lengths 1/3 and 2/5 (D = 15) and a route over both
+    edges, out and back, then across again."""
+    g = build_finite_graph(
+        {
+            "nodes": ["a", "b", "c"],
+            "edges": [
+                {"u": "a", "pu": 1, "v": "b", "pv": 1, "len": "1/3"},
+                {"u": "b", "pu": 2, "v": "c", "pv": 1, "len": "2/5"},
+            ],
+        }
+    )
+    out = route_from_steps("a", [g.traverse("a", 1), g.traverse("b", 2)])
+    return g, concat_routes(out, reverse_route(out), out)
+
+
+_GENERATOR_ROUTES = {
+    "graph": lambda: _thirds_and_fifths()[1],
+    "empty": lambda: Route("a"),
+    "planar": lambda: planar_route(
+        [(q(0), q(0)), (q(1), q(1, 2)), (q(-1, 3), q(2)), (q(0), q(0))]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATOR_ROUTES))
+def test_lattice_pieces_match_the_fraction_oracle(kind):
+    # every strategy, at the route's own lattice and at a sweep's finer one
+    # (a partner route whose D is 7 times as large), divided by its scales
+    route = _GENERATOR_ROUTES[kind]()
+    d = route.length_den
+    assert d == {"graph": 15, "empty": 1, "planar": 1}[kind]
+    steps = list(route.steps())
+    starts = [sum((st.length for st in steps[:m]), F(0)) for m in range(len(steps))]
+    for strategy in STRATEGIES:
+        for seed in range(50):
+            w = make_schedule(strategy, route, seed)
+            want = list(oracle_pieces(route, strategy, seed))
+            got = list(w.pieces())
+            assert got == want, (strategy, seed)
+            assert all(type(x) is F for t0, t1, _, a0, a1 in got for x in (t0, t1, a0, a1))
+            for k in (1, 7):
+                tscale, ascale = 840 * d * k, 4 * d * k
+                scaled = list(w.lattice_pieces(tscale, ascale))
+                assert [
+                    (F(t0, tscale), F(t1, tscale), m, F(a0, ascale), F(a1, ascale))
+                    for t0, t1, m, a0, a1, _, _, _ in scaled
+                ] == want, (strategy, seed, k)
+                for _, _, m, _, _, step, lo, hi in scaled:
+                    if steps:  # the piece's step and that step's arc interval
+                        assert step == steps[m]
+                        assert (lo, hi) == (starts[m] * ascale, (starts[m] + step.length) * ascale)
+                    else:  # the hold on a route without steps
+                        assert (m, step, lo, hi) == (0, None, 0, 0)
+
+
+def test_frozen_prefix_hold_names_step_zero():
+    # the hold parks on the start, which is step 0's first end: the checker
+    # hands the sweep that step and its interval, as it did when it read
+    # the route itself; only a route without steps has no step to name
+    route = _thirds_and_fifths()[1]
+    first = route.step_at(0)
+    tscale, ascale = 840 * 15, 4 * 15
+    for seed in range(10):
+        w = make_schedule("frozen_prefix", route, seed)
+        t0, t1, m, a0, a1, step, lo, hi = next(w.lattice_pieces(tscale, ascale))
+        assert (t0, m, a0, a1, step, lo, hi) == (0, 0, 0, 0, first, 0, ascale // 3)
+        assert t1 == tscale * oracle_pieces(route, "frozen_prefix", seed).__next__()[1]
+        checked = next(_checked_pieces(route, w, tscale, ascale))
+        assert checked == (0, t1, 0, 0, 0, first, ascale // 3)
+    empty = Route("a")
+    held = next(_checked_pieces(empty, make_schedule("frozen_prefix", empty, 0), 840, 4))
+    assert held[2:] == (0, 0, 0, None, 0)
+
+
+def test_each_cell_reads_each_route_once(monkeypatch):
+    calls = Counter()
+    steps = Route.steps
+
+    def counted(self):
+        calls[id(self)] += 1
+        return steps(self)
+
+    monkeypatch.setattr(Route, "steps", counted)
+    g, r1 = _thirds_and_fifths()
+    r2 = reverse_route(r1)
+    p1 = planar_route([(q(0), q(0)), (q(1), q(0)), (q(1), q(1))])
+    p2 = planar_route([(q(1), q(1, 4)), (q(0), q(1, 4))])
+    for name, s1, s2 in DEFAULT_SUITE:
+        calls.clear()
+        detect_meeting_graph(g, r1, r2, make_schedule(s1, r1, 3), make_schedule(s2, r2, 4))
+        assert calls == {id(r1): 1, id(r2): 1}, name
+        calls.clear()
+        detect_meeting_planar(p1, p2, make_schedule(s1, p1, 3), make_schedule(s2, p2, 4))
+        assert calls == {id(p1.route): 1, id(p2.route): 1}, name
+        calls.clear()
+        validate_schedule(r1, make_schedule(s1, r1, 5))
+        assert calls == {id(r1): 1}, name
+
+
+def test_unknown_strategy_fails_on_the_first_step():
+    w = WalkSchedule(Route("a"), "sprint", 0)
+    assert list(w.pieces()) == []
+    with pytest.raises(ValueError, match="unknown strategy 'sprint'"):
+        list(WalkSchedule(_thirds_and_fifths()[1], "sprint", 0).pieces())
+
+
+_FOREIGN_FAULTS = [  # (pieces on P3's route A-M-B of two unit steps, message)
+    ([(F(0), F(1), 0, F(0), F(1))], "walk does not cover the whole route"),
+    ([], "empty schedule for a non-empty route"),
+    ([(F(1), F(2), 0, F(0), F(1))], "walk must start at time 0, position 0"),
+    ([(F(0), F(1), 0, F(1, 4), F(1))], "walk must start at time 0, position 0"),
+    (
+        [(F(0), F(1), 0, F(0), F(1)), (F(1), F(2), 1, F(3, 4), F(2))],
+        "discontinuous schedule pieces",
+    ),
+    ([(F(0), F(1), 0, F(0), F(1)), (F(1), F(1, 2), 1, F(1), F(2))], "time must not decrease"),
+    ([(F(0), F(0), 0, F(0), F(1))], "time must not decrease"),
+    ([(F(0), F(1), 2, F(0), F(1))], "piece names step 2 outside the route"),
+    ([(F(0), F(1), -1, F(0), F(1))], "piece names step -1 outside the route"),
+    ([(F(0), F(1), 10**12, F(0), F(1))], "piece names step 1000000000000 outside the route"),
+    (
+        [(F(0), F(1), 0, F(0), F(1)), (F(1), F(2), 1, F(1), F(2)), (F(2), F(3), 0, F(2), F(2))],
+        "step index decreases to 0",
+    ),
+    ([(F(0), F(1), 1, F(0), F(1))], "position leaves step 1 arc interval"),
+    ([(F(0), F(1), 0, F(0), F(5, 4))], "position leaves step 0 arc interval"),
+    ([(F(0), F(1, 11), 0, F(0), F(1))], "time 1/11 is off the schedule lattice 1/840"),
+    ([(F(0), F(1), 0, F(0), F(1, 3))], "arc 1/3 is off the schedule lattice 1/4"),
+    ([(F(0), F(1), 0, F(0), 0.5)], "arc 0.5 is off the schedule lattice 1/4"),
+]
+
+
+@pytest.mark.parametrize("pieces,message", _FOREIGN_FAULTS, ids=[m for _, m in _FOREIGN_FAULTS])
+def test_foreign_schedule_faults_keep_their_messages(pieces, message):
+    # a schedule that is not a WalkSchedule is put on the lattice and read
+    # against the route's own steps by the one checker
+    g = p3()
+    r = route_from_steps("A", [g.traverse("A", 1), g.traverse("M", 2)])
+
+    class Foreign:
+        route = r
+
+        def __init__(self, pieces):
+            self._pieces = pieces
+
+        def pieces(self):
+            return iter(self._pieces)
+
+    with pytest.raises(ScheduleMismatch, match=_exactly(message)):
+        validate_schedule(r, Foreign(pieces))
+    # a whole walk on the lattice is accepted
+    validate_schedule(r, Foreign([(F(0), F(1), 0, F(0), F(1)), (F(1), F(2), 1, F(1), F(2))]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunnelmeet.adversary import DEFAULT_SUITE
 from tunnelmeet.cli import main
 from tunnelmeet.graph_model import random_connected_graph
 from tunnelmeet.rendezvous import Limits, graph_rv
@@ -164,7 +165,7 @@ _DELETE = object()
 
 def _edited(name, keys, value):
     """A shipped scenario (or an infinite-line one) with one field set or
-    deleted."""
+    deleted; deleting an absent key leaves the document as it is."""
     if name == "line":
         doc = {
             "schema": "scenario-v1",
@@ -178,10 +179,10 @@ def _edited(name, keys, value):
     target = doc
     for key in outer:
         target = target[key]
-    if value is _DELETE:
-        del target[last]
-    else:
+    if value is not _DELETE:
         target[last] = value
+    elif isinstance(target, list) or last in target:  # nothing to delete otherwise
+        del target[last]
     return doc
 
 
@@ -209,6 +210,8 @@ _MALFORMED = [  # (doc, the field named before "must be"); ids as before
     ),
     (_edited("square", ("world", "terrain", "holes"), 5), "world.terrain.holes"),
     (_edited("square", ("agents", 0, "start"), ["5e-1", "1/2"]), "agents[0].start[0]"),
+    (_edited("k2", ("agents", 0, "label"), True), "agents[0].label"),  # a bool is an int
+    (_edited("k2", ("agents", 1, "label"), "2"), "agents[1].label"),
 ]
 _NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior")
     (_edited("square", ("agents", 1, "start"), ["3/2", "1/2"]), 'agents[1].start ["3/2", "1/2"]'),
@@ -287,6 +290,54 @@ def test_fuzzed_world_field_exits_zero_one_or_two(field, value):
         if rc == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
+            assert json.loads(out.read_text())["schema"] == "verdict-v1"
+
+
+_SCENARIO_FIELDS = [
+    (name, keys)
+    for name in ("k2", "square")
+    for keys in (
+        ("agents", 0, "label"),
+        ("agents", 1, "label"),
+        ("limits", "phase_cap"),
+        ("limits", "step_budget"),
+        ("adversary", "seeds"),
+        ("adversary", "strategies"),
+        ("epsilon",),
+    )
+]
+# Every int drawn lies in -2..40.  An int lands as a phase cap or a label,
+# and the rope doubles at every confirmed hypothesis: square's routes cross
+# the 10^7-step budget at phase 56, and a cell that does not meet walks
+# its route to the end.  Up to 40 covers the shipped caps (1 and 33) and
+# keeps every example to milliseconds.
+_SMALL_INT = st.integers(-2, 40)
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL_INT | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | _RATIONAL_TEXT | st.sampled_from([row[0] for row in DEFAULT_SUITE]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.sampled_from(_SCENARIO_FIELDS), st.just(_DELETE) | _SMALL_JSON)
+def test_fuzzed_scenario_field_exits_zero_one_or_two(field, value):
+    """Any JSON (or nothing) at a label, a limit, the adversary's seeds or
+    strategies, or epsilon: no exception escapes ``main``, a malformed
+    field is one ``error:`` line with exit 2, and a run that ends 0 or 1
+    has written its report (or, on exit 1, named the exceeded budget)."""
+    doc = _edited(*field, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", write_scenario(Path(tmp), doc), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2 or err.getvalue():
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        if rc != 2 and not err.getvalue():
             assert json.loads(out.read_text())["schema"] == "verdict-v1"
 
 
