@@ -22,9 +22,8 @@ T = 840 * D, and every arc position a multiple of 1/A with A = 4 * D:
 ``alternating`` whole units, and ``unit_speed`` and ``frozen_prefix`` a
 step's length after an integer hold; arcs are sums of lengths plus 1/4
 or 3/4 of one.  A ``WalkSchedule`` is generated on that lattice as ints,
-in one walk of its route; a foreign schedule's pieces are scaled onto
-it, and a piece off it is a ``ScheduleMismatch``: nothing is rounded.
-Cells are decided by integer sign tests and cross-multiplication, and
+in one walk of its route, and the sweep reads nothing else.  Cells are
+decided by integer sign tests and cross-multiplication, and
 ``Fraction``s are built only for a verdict's time, location and
 ``min_distance_sq``.
 
@@ -95,19 +94,25 @@ class WalkSchedule:
     strategy: str
     seed: int
 
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+
     def lattice_pieces(self, tscale: int, ascale: int) -> Iterator[tuple]:
         """Pieces as ints ``(t0, t1, m, a0, a1, step, lo, hi)``: times
         scaled by ``tscale = 840 * D`` and arcs by ``ascale = 4 * D`` (D a
         multiple of the route's ``length_den``), each with its step and the
-        step's scaled arc interval.  The route's steps are read once.  A
-        route without steps has only the ``frozen_prefix`` hold, on step 0
-        with step None and the interval [0, 0]."""
+        step's scaled arc interval.  The route's steps are read once.  On
+        a route without steps the agent is parked at its start, on step 0
+        with step None and the interval [0, 0]: for the ``frozen_prefix``
+        hold, and for the instant 0 under every other strategy."""
         strat = self.strategy
         if strat in ("random_speeds", "jitter", "frozen_prefix"):  # the others draw nothing
             rng = Random(f"{strat}:{self.seed}")
         hold = tscale * rng.randint(1, 8) if strat == "frozen_prefix" else 0
         per_arc = tscale // ascale  # time to walk one arc unit at unit speed
         t = hi = 0
+        step = None
         for m, step in enumerate(self.route.steps()):
             num, den = step.length.as_integer_ratio()
             lo, hi = hi, hi + num * ascale // den
@@ -126,23 +131,21 @@ class WalkSchedule:
             elif strat == "random_speeds":
                 t1 = t + tscale * rng.randint(1, 8) // rng.randint(1, 8)
                 yield t, t1, m, lo, hi, step, lo, hi
-            elif strat == "jitter":
+            else:  # jitter
                 d1, d2, d3 = (tscale * rng.randint(1, 4) // rng.randint(1, 4) for _ in range(3))
                 fwd, back = lo + 3 * (hi - lo) // 4, lo + (hi - lo) // 4
                 ta, tb, t1 = t + d1, t + d1 + d2, t + d1 + d2 + d3
                 yield t, ta, m, lo, fwd, step, lo, hi
                 yield ta, tb, m, fwd, back, step, lo, hi
                 yield tb, t1, m, back, hi, step, lo, hi
-            else:
-                raise ValueError(f"unknown strategy {self.strategy!r}")
             t = t1
-        if hold:  # a route without steps: parked at its start
+        if step is None:  # a route without steps: parked at its start
             yield 0, hold, 0, 0, 0, None, 0, 0
 
     def pieces(self) -> Iterator[tuple]:
         """``(t0, t1, step_index, a0, a1)`` in ``Fraction``s, read off
         ``lattice_pieces`` at the route's own scale."""
-        t, a = 840 * self.route.length_den, 4 * self.route.length_den
+        t, a = _lattice((self.route, self))
         for t0, t1, m, a0, a1, _, _, _ in self.lattice_pieces(t, a):
             yield Fraction(t0, t), Fraction(t1, t), m, Fraction(a0, a), Fraction(a1, a)
 
@@ -174,20 +177,7 @@ class WalkSchedule:
 
 def make_schedule(strategy: str, route, seed: int = 0) -> WalkSchedule:
     """Deterministic schedule of the named strategy over the route."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return WalkSchedule(route, strategy, seed)
-
-
-def _on_lattice(x, scale: int, what: str) -> int:
-    """``x * scale`` as an int; a value off the lattice is a mismatch."""
-    try:
-        n, r = divmod(x.numerator * scale, x.denominator)
-    except AttributeError:  # not a rational
-        r = 1
-    if r:
-        raise ScheduleMismatch(f"{what} {x} is off the schedule lattice 1/{scale}")
-    return n
 
 
 def _lattice(*walks) -> tuple[int, int]:
@@ -196,34 +186,18 @@ def _lattice(*walks) -> tuple[int, int]:
     denominators, once each schedule is checked to be built for its
     route."""
     for route, schedule in walks:
-        if getattr(schedule, "route", route) is not route:
+        if schedule.route is not route:
             raise ScheduleMismatch("schedule was built for a different route")
     d = lcm(*(route.length_den for route, _ in walks))
     return 840 * d, 4 * d
 
 
-def _foreign_pieces(route, schedule, tscale: int, ascale: int):
-    """The ``Fraction`` pieces of a schedule of any type, put on the
-    lattice in the shape of ``WalkSchedule.lattice_pieces``, each with the
-    step it names and that step's interval as read off the route here."""
-    steps = enumerate(route.steps())
-    cur, step, lo, hi = -1, None, 0, 0  # `step` is step `cur`, over [lo, hi]
-    for t0, t1, m, a0, a1 in schedule.pieces():
-        t0, t1 = _on_lattice(t0, tscale, "time"), _on_lattice(t1, tscale, "time")
-        a0, a1 = _on_lattice(a0, ascale, "arc"), _on_lattice(a1, ascale, "arc")
-        while cur < m and (read := next(steps, None)):
-            (cur, step), lo = read, hi
-            hi = lo + _on_lattice(step.length, ascale, "step length")
-        yield t0, t1, m, a0, a1, step, lo, hi
-
-
 def _checked_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
     """Stream ``(t0, t1, m, o0, o1, step, length)`` on the lattice: each
-    schedule piece's times scaled by ``tscale``, its arc positions as
-    offsets into step ``m`` scaled by ``ascale``, the route step and that
-    step's scaled arc ``length``, all ints.  A ``WalkSchedule`` supplies
-    its lattice pieces; any other schedule, a subclass included, goes
-    through ``_foreign_pieces``.
+    piece of the schedule's ``lattice_pieces``, with its times scaled by
+    ``tscale``, its arc positions as offsets into step ``m`` scaled by
+    ``ascale``, the route step and that step's scaled arc ``length``, all
+    ints.
 
     The walk invariants are enforced as the pieces stream, so that a
     violation surfaces before it can corrupt a verdict: the walk starts
@@ -231,13 +205,9 @@ def _checked_pieces(route, schedule: WalkSchedule, tscale: int, ascale: int):
     step index never decreases, and the position stays inside the step's
     arc interval.
     """
-    if type(schedule) is WalkSchedule:
-        pieces = schedule.lattice_pieces(tscale, ascale)
-    else:
-        pieces = _foreign_pieces(route, schedule, tscale, ascale)
     n_steps = max(route.length, 1)
     prev_t, prev_a, prev_m = None, None, -1
-    for t0, t1, m, a0, a1, step, lo, hi in pieces:
+    for t0, t1, m, a0, a1, step, lo, hi in schedule.lattice_pieces(tscale, ascale):
         if prev_t is None:
             if t0 != 0 or a0 != 0:
                 raise ScheduleMismatch("walk must start at time 0, position 0")

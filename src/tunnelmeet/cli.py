@@ -35,6 +35,7 @@ from .geometry import (
 from .graph_model import (
     GraphError,
     MalformedField,
+    check_field,
     format_rational,
     generator,
     generator_origin,
@@ -57,6 +58,15 @@ VERDICT_SCHEMA = "verdict-v1"
 
 class ScenarioError(Exception):
     pass
+
+
+def _check(value, path: str, shape: str, fits):
+    """``check_field`` for a scenario field: a value that does not fit is
+    a ``ScenarioError`` naming ``path``."""
+    try:
+        return check_field(value, path, shape, fits)
+    except MalformedField as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _load_scenario(path: str) -> dict:
@@ -118,9 +128,9 @@ def _limits(doc: dict, args) -> Limits:
         if args.step_budget is not None
         else lim.get("step_budget", DEFAULT_STEP_BUDGET)
     )
-    for field, value in (("phase_cap", cap), ("step_budget", budget)):
-        if type(value) is not int:
-            raise ScenarioError(f"limits.{field} must be an int, got {value!r}")
+    for field, value, least in (("phase_cap", cap, 0), ("step_budget", budget, 1)):
+        _check(value, f"limits.{field}", "an int", _is_int)
+        _check(value, f"limits.{field}", f"at least {least}", lambda v: v >= least)
     return Limits(cap, budget)
 
 
@@ -152,26 +162,24 @@ _HANDLES = {
 
 def _start_for(kind: str, world, world_doc: dict, agents: list, n: int):
     """Agent n's start as a node handle of the world; a start of the wrong
-    shape, or a terrain start that is not interior, is a ``ScenarioError``
-    naming ``agents[n].start``."""
+    shape, a graph start that is not a node, or a terrain start that is
+    not interior, is a ``ScenarioError`` naming ``agents[n].start``."""
     field = f"agents[{n}].start"
     start = agents[n].get("start")
     if kind == "terrain":
-        if isinstance(start, list) and len(start) == 2:
-            point = tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
-            if not world.is_interior(point):
-                shown = json.dumps([format_rational(c) for c in point])
-                raise ScenarioError(f"{field} {shown} is not interior")
-            return point
-        shape = "a point [x, y]"
-    else:
-        name = world_doc["name"] if kind == "generator" else kind
-        if kind == "generator" and start in (None, "origin"):
-            return generator_origin(name)
-        shape, fits = _HANDLES[name]
-        if fits(start):
-            return tuple(start) if isinstance(start, list) else start
-    raise ScenarioError(f"{field} must be {shape}, got {start!r}")
+        _check(start, field, "a point [x, y]", lambda s: isinstance(s, list) and len(s) == 2)
+        point = tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
+        if not world.is_interior(point):
+            shown = json.dumps([format_rational(c) for c in point])
+            raise ScenarioError(f"{field} {shown} is not interior")
+        return point
+    name = world_doc["name"] if kind == "generator" else kind
+    if kind == "generator" and start in (None, "origin"):
+        return generator_origin(name)
+    _check(start, field, *_HANDLES[name])
+    if kind == "graph":
+        _check(start, field, "a node of world.graph", lambda s: s in world.nodes)
+    return tuple(start) if isinstance(start, list) else start
 
 
 def _frac_str(x: Fraction) -> str:
@@ -255,24 +263,36 @@ def cmd_run(args) -> int:
     agents = doc["agents"]
     adversary = doc.get("adversary", {})
     seeds = [args.seed] if args.seed is not None else adversary.get("seeds", [0])
-    if not (isinstance(seeds, list) and all(type(s) is int for s in seeds)):
-        raise ScenarioError(f"adversary.seeds must be a list of ints, got {seeds!r}")
-    suite = suite_from_names(
-        adversary.get("strategies", [row[0] for row in DEFAULT_SUITE])
+    _check(
+        seeds,
+        "adversary.seeds",
+        "a list of ints",
+        lambda s: isinstance(s, list) and all(map(_is_int, s)),
     )
+    _check(seeds, "adversary.seeds", "a non-empty list", bool)  # a run with no cells checks nothing
+    names = [row[0] for row in DEFAULT_SUITE]
+    strategies = _check(
+        adversary.get("strategies", names),
+        "adversary.strategies",
+        f"a non-empty list of {', '.join(names)}",
+        lambda s: s and set(s) <= set(names),
+    )
+    suite = suite_from_names(strategies)
     epsilon = doc.get("epsilon")
     starts = [_start_for(kind, world, doc["world"], agents, n) for n in range(2)]
     labels = [a["label"] for a in agents]
     if epsilon is not None:
         if kind != "terrain":
             raise ScenarioError("epsilon mode needs a terrain world")
+        eps = _rational(epsilon, "epsilon")
+        _check(epsilon, "epsilon", "positive", lambda _: eps > 0)
         report = approx_rendezvous(
             world,
             starts[0],
             starts[1],
             labels[0],
             labels[1],
-            _rational(epsilon, "epsilon"),
+            eps,
             limits,
             suite=suite,
             seeds=tuple(seeds),

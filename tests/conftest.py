@@ -214,13 +214,17 @@ def oracle_first_boundary_hit(t, v, u):
 def oracle_pieces(route, strategy, seed):
     """The named strategy's pieces ``(t0, t1, m, a0, a1)`` in ``Fraction``
     arithmetic, as the schedules were written before they were generated
-    on the integer lattice; one ``Random`` draw per value, in that order."""
+    on the integer lattice; one ``Random`` draw per value, in that order.
+    On a route without steps the walk is parked at its start: for the
+    ``frozen_prefix`` hold, and for the instant 0 otherwise."""
     rng = Random(f"{strategy}:{seed}")
     t = arc = Fraction(0)
     if strategy == "frozen_prefix":
         hold = Fraction(rng.randint(1, 8))
         yield (t, hold, 0, arc, arc)
         t = hold
+    elif not route.length:
+        yield (t, t, 0, arc, arc)
     for m, step in enumerate(route.steps()):
         length = step.length
         end = arc + length

@@ -40,6 +40,25 @@ def _exactly(message):
     return f"^{re.escape(message)}$"
 
 
+class _Faulty(WalkSchedule):
+    """A unit-speed walk with a fault injected into its own lattice
+    pieces: ``edit(pieces, tscale, ascale)`` returns the list the checker
+    reads, so each faulty piece still carries the step and arc interval
+    read off its route."""
+
+    def __init__(self, route, edit):
+        super().__init__(route, "unit_speed", 0)
+        self.edit = edit
+
+    def lattice_pieces(self, tscale, ascale):
+        yield from self.edit(list(super().lattice_pieces(tscale, ascale)), tscale, ascale)
+
+
+def _with(piece, **change):
+    """A lattice piece with some of its ``t0, t1, m, a0, a1`` changed."""
+    return tuple(change.get(k, x) for k, x in zip(("t0", "t1", "m", "a0", "a1"), piece)) + piece[5:]
+
+
 def test_unit_speed_single_segment_breakpoints():
     g = k2()
     r = route_from_steps("A", [g.traverse("A", 1)])
@@ -71,29 +90,22 @@ def test_seeded_schedules_are_valid_walks():
 def test_validate_rejects_bad_schedules():
     g = k2()
     r = route_from_steps("A", [g.traverse("A", 1)])
-
-    class Broken:
-        def __init__(self, pieces):
-            self._pieces = pieces
-
-        def pieces(self):
-            return iter(self._pieces)
-
     # never reaches the far endpoint
     with pytest.raises(ScheduleMismatch, match=_exactly("walk does not cover the whole route")):
-        validate_schedule(r, Broken([(F(0), F(1), 0, F(0), F(1, 2))]))
+        validate_schedule(r, _Faulty(r, lambda p, T, A: [_with(p[0], a1=A // 2)]))
     # leaves the segment interval
     with pytest.raises(ScheduleMismatch, match=_exactly("position leaves step 0 arc interval")):
-        validate_schedule(r, Broken([(F(0), F(1), 0, F(0), F(2))]))
+        validate_schedule(r, _Faulty(r, lambda p, T, A: [_with(p[0], a1=2 * A)]))
     # discontinuous
     with pytest.raises(ScheduleMismatch, match=_exactly("discontinuous schedule pieces")):
         validate_schedule(
             r,
-            Broken(
-                [
-                    (F(0), F(1), 0, F(0), F(1, 2)),
-                    (F(2), F(3), 0, F(1, 4), F(1)),
-                ]
+            _Faulty(
+                r,
+                lambda p, T, A: [
+                    _with(p[0], a1=A // 2),
+                    _with(p[0], t0=2 * T, t1=3 * T, a0=A // 4),
+                ],
             ),
         )
 
@@ -199,18 +211,16 @@ def test_detect_rejects_invalid_schedule_mid_stream():
     g = k2()
     r1 = route_from_steps("A", [g.traverse("A", 1)])
     r2 = route_from_steps("B", [g.traverse("B", 1)])
-
-    class Broken:
-        route = r1
-
-        def pieces(self):
-            # jumps discontinuously after the first piece
-            yield (F(0), F(1, 2), 0, F(0), F(1, 4))
-            yield (F(1), F(2), 0, F(1, 2), F(1))
-
+    # jumps discontinuously after the first piece
+    broken = _Faulty(
+        r1,
+        lambda p, T, A: [
+            _with(p[0], t1=T // 2, a1=A // 4),
+            _with(p[0], t0=T, t1=2 * T, a0=A // 2),
+        ],
+    )
     with pytest.raises(ScheduleMismatch, match=_exactly("discontinuous schedule pieces")):
-        detect_meeting_graph(g, r1, r2, Broken(), make_schedule("unit_speed", r2, 0))
-
+        detect_meeting_graph(g, r1, r2, broken, make_schedule("unit_speed", r2, 0))
 
 
 def test_both_sweeps_reject_a_schedule_of_another_route():
@@ -228,41 +238,6 @@ def test_both_sweeps_reject_a_schedule_of_another_route():
         detect_meeting_planar(
             p1, p2, make_schedule("unit_speed", p2, 0), make_schedule("unit_speed", p2, 0)
         )
-
-
-def test_off_lattice_piece_is_rejected_not_rounded():
-    # schedule times live on multiples of 1/840 (times D), arcs on 1/4
-    g = k2()
-    r1 = route_from_steps("A", [g.traverse("A", 1)])
-    r2 = route_from_steps("B", [g.traverse("B", 1)])
-    p1 = planar_route([(q(0), q(0)), (q(1), q(0))])
-    p2 = planar_route([(q(1), q(0)), (q(0), q(0))])
-
-    def foreign(route, *pieces):
-        class Foreign:
-            def pieces(self):
-                return iter(pieces)
-
-        schedule = Foreign()
-        schedule.route = route
-        return schedule
-
-    off_time = (F(0), F(1, 11), 0, F(0), F(1))
-    says = _exactly("time 1/11 is off the schedule lattice 1/840")
-    with pytest.raises(ScheduleMismatch, match=says):
-        detect_meeting_graph(g, r1, r2, foreign(r1, off_time), make_schedule("unit_speed", r2, 0))
-    with pytest.raises(ScheduleMismatch, match=says):
-        detect_meeting_planar(p1, p2, foreign(p1, off_time), make_schedule("unit_speed", p2, 0))
-    with pytest.raises(ScheduleMismatch, match=says):
-        validate_schedule(r1, foreign(r1, off_time))
-    off_arc = (F(0), F(1), 0, F(0), F(1, 3))
-    says = _exactly("arc 1/3 is off the schedule lattice 1/4")
-    with pytest.raises(ScheduleMismatch, match=says):
-        validate_schedule(r1, foreign(r1, off_arc))
-    # the same walk on the lattice is accepted
-    validate_schedule(
-        r1, foreign(r1, (F(0), F(1, 840), 0, F(0), F(1, 4)), (F(1, 840), F(1), 0, F(1, 4), F(1)))
-    )
 
 
 def test_length_den_is_the_lcm_over_the_rope():
@@ -498,58 +473,46 @@ def test_each_cell_reads_each_route_once(monkeypatch):
 
 
 def test_unknown_strategy_fails_on_the_first_step():
-    w = WalkSchedule(Route("a"), "sprint", 0)
-    assert list(w.pieces()) == []
-    with pytest.raises(ValueError, match="unknown strategy 'sprint'"):
-        list(WalkSchedule(_thirds_and_fifths()[1], "sprint", 0).pieces())
+    # rejected as the schedule is made, before its first piece, on any route
+    for route in (Route("a"), _thirds_and_fifths()[1]):
+        with pytest.raises(ValueError, match="unknown strategy 'sprint'"):
+            WalkSchedule(route, "sprint", 0)
 
 
-_FOREIGN_FAULTS = [  # (pieces on P3's route A-M-B of two unit steps, message)
-    ([(F(0), F(1), 0, F(0), F(1))], "walk does not cover the whole route"),
-    ([], "empty schedule for a non-empty route"),
-    ([(F(1), F(2), 0, F(0), F(1))], "walk must start at time 0, position 0"),
-    ([(F(0), F(1), 0, F(1, 4), F(1))], "walk must start at time 0, position 0"),
+_FOREIGN_FAULTS = [  # (an edit of the pieces p of a unit-speed walk on P3's
+    # route A-M-B of two unit steps, at time scale T and arc scale A; message)
+    (lambda p, T, A: p[:1], "walk does not cover the whole route"),
+    (lambda p, T, A: [], "empty schedule for a non-empty route"),
+    (lambda p, T, A: [_with(p[0], t0=T, t1=2 * T)], "walk must start at time 0, position 0"),
+    (lambda p, T, A: [_with(p[0], a0=A // 4)], "walk must start at time 0, position 0"),
+    (lambda p, T, A: [p[0], _with(p[1], a0=3 * A // 4)], "discontinuous schedule pieces"),
+    (lambda p, T, A: [p[0], _with(p[1], t1=T // 2)], "time must not decrease"),
+    (lambda p, T, A: [_with(p[0], t1=0)], "time must not decrease"),
+    (lambda p, T, A: [_with(p[0], m=2)], "piece names step 2 outside the route"),
+    (lambda p, T, A: [_with(p[0], m=-1)], "piece names step -1 outside the route"),
+    (lambda p, T, A: [_with(p[0], m=10**12)], "piece names step 1000000000000 outside the route"),
     (
-        [(F(0), F(1), 0, F(0), F(1)), (F(1), F(2), 1, F(3, 4), F(2))],
-        "discontinuous schedule pieces",
-    ),
-    ([(F(0), F(1), 0, F(0), F(1)), (F(1), F(1, 2), 1, F(1), F(2))], "time must not decrease"),
-    ([(F(0), F(0), 0, F(0), F(1))], "time must not decrease"),
-    ([(F(0), F(1), 2, F(0), F(1))], "piece names step 2 outside the route"),
-    ([(F(0), F(1), -1, F(0), F(1))], "piece names step -1 outside the route"),
-    ([(F(0), F(1), 10**12, F(0), F(1))], "piece names step 1000000000000 outside the route"),
-    (
-        [(F(0), F(1), 0, F(0), F(1)), (F(1), F(2), 1, F(1), F(2)), (F(2), F(3), 0, F(2), F(2))],
+        lambda p, T, A: [*p, _with(p[1], t0=2 * T, t1=3 * T, m=0, a0=2 * A)],
         "step index decreases to 0",
     ),
-    ([(F(0), F(1), 1, F(0), F(1))], "position leaves step 1 arc interval"),
-    ([(F(0), F(1), 0, F(0), F(5, 4))], "position leaves step 0 arc interval"),
-    ([(F(0), F(1, 11), 0, F(0), F(1))], "time 1/11 is off the schedule lattice 1/840"),
-    ([(F(0), F(1), 0, F(0), F(1, 3))], "arc 1/3 is off the schedule lattice 1/4"),
-    ([(F(0), F(1), 0, F(0), 0.5)], "arc 0.5 is off the schedule lattice 1/4"),
+    (
+        lambda p, T, A: [_with(p[1], t0=0, t1=T, a0=0, a1=A)],
+        "position leaves step 1 arc interval",
+    ),
+    (lambda p, T, A: [_with(p[0], a1=5 * A // 4)], "position leaves step 0 arc interval"),
 ]
 
 
-@pytest.mark.parametrize("pieces,message", _FOREIGN_FAULTS, ids=[m for _, m in _FOREIGN_FAULTS])
-def test_foreign_schedule_faults_keep_their_messages(pieces, message):
-    # a schedule that is not a WalkSchedule is put on the lattice and read
-    # against the route's own steps by the one checker
+@pytest.mark.parametrize("edit,message", _FOREIGN_FAULTS, ids=[m for _, m in _FOREIGN_FAULTS])
+def test_foreign_schedule_faults_keep_their_messages(edit, message):
+    # each fault is injected into a walk's own lattice pieces and read by
+    # the one checker
     g = p3()
     r = route_from_steps("A", [g.traverse("A", 1), g.traverse("M", 2)])
-
-    class Foreign:
-        route = r
-
-        def __init__(self, pieces):
-            self._pieces = pieces
-
-        def pieces(self):
-            return iter(self._pieces)
-
     with pytest.raises(ScheduleMismatch, match=_exactly(message)):
-        validate_schedule(r, Foreign(pieces))
-    # a whole walk on the lattice is accepted
-    validate_schedule(r, Foreign([(F(0), F(1), 0, F(0), F(1)), (F(1), F(2), 1, F(1), F(2))]))
+        validate_schedule(r, _Faulty(r, edit))
+    # the walk without a fault is accepted
+    validate_schedule(r, _Faulty(r, lambda p, T, A: p))
 
 
 # ---------------------------------------------------------------------------

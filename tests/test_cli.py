@@ -144,6 +144,12 @@ def test_run_rejects_bad_seeds(tmp_path, capsys, seeds):
         (("limits", "phase_cap"), 2.7, "limits.phase_cap"),
         (("limits", "phase_cap"), True, "limits.phase_cap"),
         (("limits", "step_budget"), "100", "limits.step_budget"),
+        (("limits", "phase_cap"), -2, "limits.phase_cap"),
+        (("limits", "step_budget"), -2, "limits.step_budget"),
+        (("limits", "step_budget"), 0, "limits.step_budget"),
+        (("adversary", "seeds"), [], "adversary.seeds"),
+        (("adversary", "strategies"), [], "adversary.strategies"),
+        (("adversary", "strategies"), ["sprint"], "adversary.strategies"),
     ],
 )
 def test_run_rejects_bad_scenario_shapes(tmp_path, capsys, keys, value, field):
@@ -212,6 +218,8 @@ _MALFORMED = [  # (doc, the field named before "must be"); ids as before
     (_edited("square", ("agents", 0, "start"), ["5e-1", "1/2"]), "agents[0].start[0]"),
     (_edited("k2", ("agents", 0, "label"), True), "agents[0].label"),  # a bool is an int
     (_edited("k2", ("agents", 1, "label"), "2"), "agents[1].label"),
+    (_edited("k2", ("agents", 0, "start"), "Z"), "agents[0].start"),
+    (_edited("approx", ("epsilon",), "0"), "epsilon"),
 ]
 _NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior")
     (_edited("square", ("agents", 1, "start"), ["3/2", "1/2"]), 'agents[1].start ["3/2", "1/2"]'),
@@ -236,6 +244,39 @@ def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, fi
     assert err.startswith("error: ScenarioError: ")
     assert f" {field} {says}" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "start,flags,field",
+    [
+        ("A", ["--phase-cap", "-3"], "limits.phase_cap"),
+        ("A", ["--step-budget", "0"], "limits.step_budget"),
+        ("Z", ["--phase-cap", "0"], "agents[0].start"),  # no route step reads the start
+    ],
+)
+def test_run_flags_do_not_bypass_field_checks(tmp_path, capsys, start, flags, field):
+    doc = _edited("k2", ("agents", 0, "start"), start)
+    assert main(["run", write_scenario(tmp_path, doc), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ScenarioError: {field} must be ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["k2", "square"])
+def test_empty_routes_meet_at_a_shared_start(tmp_path, name):
+    # at phase cap 0 both routes are empty: each agent is parked at its start
+    def cells(doc, rc):
+        out = tmp_path / "report.json"
+        argv = ["run", write_scenario(tmp_path, doc), "--phase-cap", "0", "--out", str(out)]
+        assert main(argv) == rc
+        return json.loads(out.read_text())["cells"]
+
+    apart = json.loads((SCENARIOS / f"{name}.json").read_text())
+    shared = _edited(name, ("agents", 1, "start"), apart["agents"][0]["start"])
+    met = cells(shared, 0)
+    assert len(met) == 10 and all(c["met"] and c["time"] == "0/1" for c in met)
+    gap = {"k2": None, "square": "1/4"}[name]  # the squared distance of the starts
+    assert all(not c["met"] and c.get("min_distance_sq") == gap for c in cells(apart, 1))
 
 
 @pytest.mark.parametrize("agent", [0, 1])
