@@ -67,15 +67,6 @@ DEFAULT_SUITE = (
 )
 
 
-def suite_from_names(names) -> tuple:
-    """Rows of the default suite selected by name, in suite order."""
-    wanted = set(names)
-    unknown = wanted - {row[0] for row in DEFAULT_SUITE}
-    if unknown:
-        raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    return tuple(row for row in DEFAULT_SUITE if row[0] in wanted)
-
-
 @dataclass
 class WalkSchedule:
     """Piecewise-linear walk on a route.
@@ -603,4 +594,20 @@ def verify_rendezvous(world, r1, r2, suite=DEFAULT_SUITE, seeds=(0,)) -> dict:
         "cells": cells,
         "all_met": all_met,
         "vacuous": not cells,
+    }
+
+
+def epsilon_verdict(report: dict, epsilon: Fraction) -> dict:
+    """A ``verify_rendezvous`` report read for approximate rendezvous: the
+    worst (largest) ``min_distance_sq`` of its cells, and whether it is at
+    most ``epsilon`` squared, compared exactly.  A met planar cell carries
+    0; a cell that saw no gap (None) adds nothing, and a report with no
+    gap is not within epsilon."""
+    gaps = (cell["verdict"].min_distance_sq for cell in report["cells"])
+    worst = max((gap for gap in gaps if gap is not None), default=None)
+    return {
+        **report,
+        "epsilon": epsilon,
+        "worst_min_distance_sq": worst,
+        "within_epsilon": worst is not None and worst <= epsilon * epsilon,
     }

@@ -7,7 +7,8 @@ the adversary suite), ``route`` (dump one agent's route), ``tunnel``
 
 All numeric output is exact (``num/den``); ``--float`` adds decimal
 approximations for humans.  Reports are byte-deterministic for fixed
-scenarios and seeds.
+scenarios and seeds.  Exit codes: 0 met, 1 not met, 2 malformed input,
+3 internal error (with its traceback), 4 over the step budget.
 """
 
 from __future__ import annotations
@@ -18,20 +19,11 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
-from .adversary import (
-    DEFAULT_SUITE,
-    MeetingVerdict,
-    suite_from_names,
-    verify_rendezvous,
-)
+from .adversary import DEFAULT_SUITE, MeetingVerdict, epsilon_verdict, verify_rendezvous
 from .enumeration import ENUM_VERSION, Quadruple, phi, rational_pair
-from .geometry import (
-    approx_rendezvous,
-    geometric_routes,
-    geometric_rv,
-    terrain_from_json,
-)
+from .geometry import geometric_routes, terrain_from_json
 from .graph_model import (
     GraphError,
     MalformedField,
@@ -43,13 +35,7 @@ from .graph_model import (
     load_graph_json,
     parse_rational,
 )
-from .rendezvous import (
-    DEFAULT_STEP_BUDGET,
-    Limits,
-    RouteBuilder,
-    graph_rv,
-    tunnel_check,
-)
+from .rendezvous import DEFAULT_STEP_BUDGET, Limits, RouteBuilder, tunnel_check
 from .routes import StepBudgetExceeded, dump_lines, dump_route, parse_route_dump
 
 SCENARIO_SCHEMA = "scenario-v1"
@@ -57,7 +43,37 @@ VERDICT_SCHEMA = "verdict-v1"
 
 
 class ScenarioError(Exception):
-    pass
+    """Input the command line cannot use: a malformed scenario field, named
+    by its path, or a file named on the command line that cannot be read
+    or written, named by its file path."""
+
+
+class Scenario(NamedTuple):
+    """A checked ``scenario-v1`` document with the command line's limits
+    and seed applied, frozen: all that ``run`` and ``route`` read."""
+
+    kind: str  # "graph", "terrain" or "generator"
+    world: object
+    starts: tuple  # node handles; points on a terrain
+    labels: tuple
+    limits: Limits
+    suite: tuple  # the chosen DEFAULT_SUITE rows, in suite order
+    seeds: tuple
+    epsilon: Fraction | None
+    shown_starts: tuple  # the starts as the document wrote them, for the report
+
+
+def _read(path: str, parse):
+    """``parse`` of the text of a file named on the command line.  A file
+    that cannot be read, decoded or parsed is a ``ScenarioError`` naming
+    it, and a ``GraphError`` from ``parse`` gets the path in front."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc}") from None
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def _check(value, path: str, shape: str, fits):
@@ -69,71 +85,6 @@ def _check(value, path: str, shape: str, fits):
         raise ScenarioError(str(exc)) from None
 
 
-def _load_scenario(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCENARIO_SCHEMA:
-        raise ScenarioError(f"{path}: expected schema {SCENARIO_SCHEMA!r}")
-    agents = doc.get("agents")
-    if not isinstance(agents, list) or len(agents) != 2:
-        raise ScenarioError(f"{path}: scenario needs exactly two agents")
-    shaped = [(f, doc.get(f, {})) for f in ("world", "limits", "adversary")]
-    shaped += [(f"agents[{n}]", a) for n, a in enumerate(agents)]
-    for field, value in shaped:
-        if not isinstance(value, dict):
-            raise ScenarioError(f"{path}: {field} must be an object, got {value!r}")
-    names = doc.get("adversary", {}).get("strategies", [])
-    if not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
-        raise ScenarioError(
-            f"{path}: adversary.strategies must be a list of strings, got {names!r}"
-        )
-    l1, l2 = labels = [a.get("label") for a in agents]
-    for n, label in enumerate(labels):
-        if not (type(label) is int and label > 0):  # a JSON true is no label
-            raise ScenarioError(f"{path}: agents[{n}].label must be a positive int, got {label!r}")
-    if l1 == l2:
-        raise ScenarioError(f"{path}: agent labels must be distinct")
-    return doc
-
-
-def _build_world(doc: dict):
-    world = doc.get("world", {})
-    kind = world.get("kind")
-    if kind in ("graph", "terrain"):
-        spec = world.get(kind)
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"world.{kind} must be an object, got {spec!r}")
-        try:
-            return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)
-        except MalformedField as exc:
-            raise ScenarioError(f"world.{kind}.{exc}") from None
-    if kind == "generator":
-        name = world.get("name")
-        if not isinstance(name, str):
-            raise ScenarioError(f"world.name must be a generator name, got {name!r}")
-        return "generator", generator(name, world.get("unit_length", 1))
-    raise ScenarioError(f"unknown world kind {kind!r}")
-
-
-def _limits(doc: dict, args) -> Limits:
-    lim = doc.get("limits", {})
-    cap = args.phase_cap if args.phase_cap is not None else lim.get("phase_cap")
-    if cap is None:
-        raise ScenarioError("no phase cap given (scenario limits or --phase-cap)")
-    budget = (
-        args.step_budget
-        if args.step_budget is not None
-        else lim.get("step_budget", DEFAULT_STEP_BUDGET)
-    )
-    for field, value, least in (("phase_cap", cap, 0), ("step_budget", budget, 1)):
-        _check(value, f"limits.{field}", "an int", _is_int)
-        _check(value, f"limits.{field}", f"at least {least}", lambda v: v >= least)
-    return Limits(cap, budget)
-
-
 def _rational(value, field: str) -> Fraction:
     try:
         return parse_rational(value)
@@ -142,12 +93,15 @@ def _rational(value, field: str) -> Fraction:
 
 
 def _is_int(x) -> bool:
-    return type(x) is int
+    return type(x) is int  # a JSON true is no int
 
 
-#: Node handle shape per graph world or generator: (shape, check).
-_HANDLES = {
-    "graph": ("a node name", is_node_name),
+def _is_object(x) -> bool:
+    return isinstance(x, dict)
+
+
+#: Node handle shape per generator: (shape, check).
+_GENERATOR_STARTS = {
     "infinite_line": ("an int", _is_int),
     "infinite_grid": (
         "a list of two ints",
@@ -160,12 +114,26 @@ _HANDLES = {
 }
 
 
-def _start_for(kind: str, world, world_doc: dict, agents: list, n: int):
-    """Agent n's start as a node handle of the world; a start of the wrong
-    shape, a graph start that is not a node, or a terrain start that is
-    not interior, is a ``ScenarioError`` naming ``agents[n].start``."""
-    field = f"agents[{n}].start"
-    start = agents[n].get("start")
+def _world(doc: dict):
+    """The world's kind and the world: a graph, a terrain or a generator."""
+    kinds = ("graph", "terrain", "generator")
+    kind = _check(doc.get("kind"), "world.kind", f"one of {', '.join(kinds)}", lambda k: k in kinds)
+    if kind == "generator":
+        name = doc.get("name")
+        known = isinstance(name, str) and name in _GENERATOR_STARTS
+        _check(name, "world.name", "a generator name", lambda _: known)
+        return kind, generator(name, doc.get("unit_length", 1))
+    spec = _check(doc.get(kind), f"world.{kind}", "an object", _is_object)
+    try:
+        return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)
+    except MalformedField as exc:
+        raise ScenarioError(f"world.{kind}.{exc}") from None
+
+
+def _start(kind: str, world, world_doc: dict, start, field: str):
+    """A start as a node handle of the world: a node of a graph, a handle
+    of a generator (``"origin"`` or none is its origin) or an interior
+    point of a terrain."""
     if kind == "terrain":
         _check(start, field, "a point [x, y]", lambda s: isinstance(s, list) and len(s) == 2)
         point = tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
@@ -173,13 +141,88 @@ def _start_for(kind: str, world, world_doc: dict, agents: list, n: int):
             shown = json.dumps([format_rational(c) for c in point])
             raise ScenarioError(f"{field} {shown} is not interior")
         return point
-    name = world_doc["name"] if kind == "generator" else kind
-    if kind == "generator" and start in (None, "origin"):
-        return generator_origin(name)
-    _check(start, field, *_HANDLES[name])
     if kind == "graph":
-        _check(start, field, "a node of world.graph", lambda s: s in world.nodes)
+        _check(start, field, "a node name", is_node_name)
+        return _check(start, field, "a node of world.graph", lambda s: s in world.nodes)
+    if start in (None, "origin"):
+        return generator_origin(world_doc["name"])
+    _check(start, field, *_GENERATOR_STARTS[world_doc["name"]])
     return tuple(start) if isinstance(start, list) else start
+
+
+def read_scenario(path: str, args) -> Scenario:
+    """The scenario at ``path``, with ``--phase-cap``, ``--step-budget``
+    and (``run`` only) ``--seed`` from ``args`` in place of its own
+    values.  Every field is checked here, in one pass: a field that does
+    not fit is a ``ScenarioError`` whose message starts with the field's
+    path, such as ``agents[1].start``; a world document may also fail as
+    a ``GraphError``.  Only a file that cannot be read names its path."""
+    doc = _read(path, json.loads)
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    _check(schema, "schema", repr(SCENARIO_SCHEMA), lambda s: s == SCENARIO_SCHEMA)
+    agents = _check(
+        doc.get("agents"),
+        "agents",
+        "a list of two agents",
+        lambda a: isinstance(a, list) and len(a) == 2,
+    )
+    world_doc, lim, adversary = (
+        _check(doc.get(field, {}), field, "an object", _is_object)
+        for field in ("world", "limits", "adversary")
+    )
+    labels = []
+    for n, agent in enumerate(agents):
+        _check(agent, f"agents[{n}]", "an object", _is_object)
+        label = agent.get("label")
+        _check(label, f"agents[{n}].label", "a positive int", lambda x: _is_int(x) and x > 0)
+        labels.append(label)
+    _check(labels[1], "agents[1].label", "distinct from agents[0].label", lambda x: x != labels[0])
+    kind, world = _world(world_doc)
+    cap = args.phase_cap if args.phase_cap is not None else lim.get("phase_cap")
+    budget = args.step_budget
+    if budget is None:
+        budget = lim.get("step_budget", DEFAULT_STEP_BUDGET)
+    for field, value, least in (("phase_cap", cap, 0), ("step_budget", budget, 1)):
+        _check(value, f"limits.{field}", "an int", _is_int)
+        _check(value, f"limits.{field}", f"at least {least}", lambda v: v >= least)
+    seed = getattr(args, "seed", None)  # ``route`` has no --seed
+    seeds = _check(
+        [seed] if seed is not None else adversary.get("seeds", [0]),
+        "adversary.seeds",
+        "a non-empty list of ints",  # a run with no cells checks nothing
+        lambda s: isinstance(s, list) and s and all(map(_is_int, s)),
+    )
+    names = [row[0] for row in DEFAULT_SUITE]
+    chosen = _check(
+        adversary.get("strategies", names),
+        "adversary.strategies",
+        f"a non-empty list of {', '.join(names)}",
+        lambda s: isinstance(s, list) and s and all(x in names for x in s),
+    )
+    shown = tuple(agent.get("start") for agent in agents)
+    starts = tuple(
+        _start(kind, world, world_doc, start, f"agents[{n}].start") for n, start in enumerate(shown)
+    )
+    epsilon = doc.get("epsilon")
+    if epsilon is not None:
+        _check(epsilon, "epsilon", "unset outside a terrain world", lambda _: kind == "terrain")
+        eps = _rational(epsilon, "epsilon")
+        _check(epsilon, "epsilon", "positive", lambda _: eps > 0)
+        epsilon = eps
+    suite = tuple(row for row in DEFAULT_SUITE if row[0] in chosen)
+    limits = Limits(cap, budget)
+    return Scenario(kind, world, starts, tuple(labels), limits, suite, tuple(seeds), epsilon, shown)
+
+
+def _routes(sc: Scenario, agents) -> list:
+    """The routes of the agents numbered in ``agents``, built by one
+    ``RouteBuilder`` on a graph or by ``geometric_routes`` on a terrain."""
+    starts = [sc.starts[n] for n in agents]
+    labels = [sc.labels[n] for n in agents]
+    if sc.kind == "terrain":
+        return geometric_routes(sc.world, starts, labels, sc.limits)
+    builder = RouteBuilder(sc.world, sc.limits)
+    return [builder.route(start, label) for start, label in zip(starts, labels)]
 
 
 def _frac_str(x: Fraction) -> str:
@@ -218,7 +261,7 @@ def _verdict_json(v: MeetingVerdict, use_float: bool) -> dict:
     return out
 
 
-def _report_json(doc, report, use_float: bool) -> dict:
+def _report_json(sc: Scenario, report, use_float: bool) -> dict:
     cells = [
         {
             "strategy": c["strategy"],
@@ -230,15 +273,15 @@ def _report_json(doc, report, use_float: bool) -> dict:
     out = {
         "schema": VERDICT_SCHEMA,
         "enum_version": ENUM_VERSION,
-        "world": doc["world"]["kind"],
+        "world": sc.kind,
         "agents": [
-            {"label": a["label"], "start": a["start"]} for a in doc["agents"]
+            {"label": label, "start": start} for label, start in zip(sc.labels, sc.shown_starts)
         ],
         "cells": cells,
         "all_met": report["all_met"],
         "vacuous": report["vacuous"],
     }
-    if "epsilon" in report:
+    if sc.epsilon is not None:
         out["epsilon"] = _frac_str(report["epsilon"])
         worst = report["worst_min_distance_sq"]
         out["worst_min_distance_sq"] = None if worst is None else _frac_str(worst)
@@ -249,76 +292,34 @@ def _report_json(doc, report, use_float: bool) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to ``out_path``, or to stdout without one; output
+    that cannot be written is a ``ScenarioError`` naming where it went."""
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"{out_path or '<stdout>'}: cannot write: {exc}") from None
 
 
 def cmd_run(args) -> int:
-    doc = _load_scenario(args.scenario)
-    kind, world = _build_world(doc)
-    limits = _limits(doc, args)
-    agents = doc["agents"]
-    adversary = doc.get("adversary", {})
-    seeds = [args.seed] if args.seed is not None else adversary.get("seeds", [0])
-    _check(
-        seeds,
-        "adversary.seeds",
-        "a list of ints",
-        lambda s: isinstance(s, list) and all(map(_is_int, s)),
-    )
-    _check(seeds, "adversary.seeds", "a non-empty list", bool)  # a run with no cells checks nothing
-    names = [row[0] for row in DEFAULT_SUITE]
-    strategies = _check(
-        adversary.get("strategies", names),
-        "adversary.strategies",
-        f"a non-empty list of {', '.join(names)}",
-        lambda s: s and set(s) <= set(names),
-    )
-    suite = suite_from_names(strategies)
-    epsilon = doc.get("epsilon")
-    starts = [_start_for(kind, world, doc["world"], agents, n) for n in range(2)]
-    labels = [a["label"] for a in agents]
-    if epsilon is not None:
-        if kind != "terrain":
-            raise ScenarioError("epsilon mode needs a terrain world")
-        eps = _rational(epsilon, "epsilon")
-        _check(epsilon, "epsilon", "positive", lambda _: eps > 0)
-        report = approx_rendezvous(
-            world,
-            starts[0],
-            starts[1],
-            labels[0],
-            labels[1],
-            eps,
-            limits,
-            suite=suite,
-            seeds=tuple(seeds),
-        )
-        ok = report["within_epsilon"]
-    else:
-        if kind == "terrain":
-            r1, r2 = geometric_routes(world, starts, labels, limits)
-        else:
-            builder = RouteBuilder(world, limits)
-            r1, r2 = (builder.route(s, label) for s, label in zip(starts, labels))
-        report = verify_rendezvous(world, r1, r2, suite=suite, seeds=tuple(seeds))
-        ok = report["all_met"]
-    text = json.dumps(_report_json(doc, report, args.float), indent=2, sort_keys=True) + "\n"
+    sc = read_scenario(args.scenario, args)
+    r1, r2 = _routes(sc, (0, 1))
+    report = verify_rendezvous(sc.world, r1, r2, suite=sc.suite, seeds=sc.seeds)
+    if sc.epsilon is not None:
+        report = epsilon_verdict(report, sc.epsilon)
+    text = json.dumps(_report_json(sc, report, args.float), indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
+    ok = report["all_met"] if sc.epsilon is None else report["within_epsilon"]
     return 0 if ok else 1
 
 
 def cmd_route(args) -> int:
-    doc = _load_scenario(args.scenario)
-    kind, world = _build_world(doc)
-    limits = _limits(doc, args)
-    agent = doc["agents"][args.agent]
-    start = _start_for(kind, world, doc["world"], doc["agents"], args.agent)
-    if kind == "terrain":
-        route = geometric_rv(world, start, agent["label"], limits)
+    sc = read_scenario(args.scenario, args)
+    (route,) = _routes(sc, (args.agent,))
+    if sc.kind == "terrain":
         text = dump_lines(
             f"start\t{_frac_str(route.start[0])}\t{_frac_str(route.start[1])}",
             (
@@ -328,22 +329,15 @@ def cmd_route(args) -> int:
             route.phase_marks,
         )
     else:
-        route = graph_rv(world, start, agent["label"], limits)
         text = dump_route(route)
     _emit(text, args.out)
     return 0
 
 
 def cmd_tunnel(args) -> int:
-    with open(args.route1, "r", encoding="utf-8") as fh:
-        r1 = parse_route_dump(fh.read())
-    with open(args.route2, "r", encoding="utf-8") as fh:
-        r2 = parse_route_dump(fh.read())
+    r1, r2 = (_read(path, parse_route_dump) for path in (args.route1, args.route2))
     cert = tunnel_check(r1, r2)
-    if cert is None:
-        _emit("none\n", args.out)
-    else:
-        _emit(f"tunnel n={cert.n}\n", args.out)
+    _emit("none\n" if cert is None else f"tunnel n={cert.n}\n", args.out)
     return 0
 
 
@@ -354,6 +348,7 @@ def _format_quadruple(q: Quadruple) -> str:
 
 
 def cmd_enumerate(args) -> int:
+    _check(args.start, "--start", "at least 1", lambda k: k >= 1)  # both enumerations start at 1
     lines = []
     for k in range(args.start, args.end + 1):
         if args.kind == "phi":
@@ -420,10 +415,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except StepBudgetExceeded as exc:
         sys.stderr.write(f"error: StepBudgetExceeded: {exc}\n")
-        return 1
-    except (ScenarioError, GraphError, OSError, KeyError, ValueError) as exc:
+        return 4
+    except (ScenarioError, GraphError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
+    except Exception:  # an internal error: print it as Python prints an uncaught one
+        sys.excepthook(*sys.exc_info())
+        return 3
 
 
 if __name__ == "__main__":

@@ -467,45 +467,3 @@ def audit_planar_route(t: Terrain, route: PlanarRoute) -> None:
     if pending_bounce is not None:
         raise TerrainError("route ends mid-bounce")
 
-
-# ---------------------------------------------------------------------------
-# Approximate rendezvous
-# ---------------------------------------------------------------------------
-
-def approx_rendezvous(
-    t: Terrain,
-    start1: QPoint,
-    start2: QPoint,
-    label1: int,
-    label2: int,
-    epsilon: Fraction,
-    limits: Limits,
-    suite=None,
-    seeds=(0, 1, 2),
-) -> dict:
-    """Run both agents' routes (each rational in its own start-anchored
-    frame) and report the exact worst-case minimum distance over the
-    adversary suite.
-
-    Starts are exact rationals; callers approximating irrational points
-    choose the precision.  The report carries ``min_distance_sq`` per
-    cell and the aggregate ``within_epsilon`` flag (squared comparison,
-    no rounding).
-    """
-    from .adversary import DEFAULT_SUITE, verify_rendezvous
-
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    r1, r2 = geometric_routes(t, (start1, start2), (label1, label2), limits)
-    report = verify_rendezvous(
-        t, r1, r2, suite=DEFAULT_SUITE if suite is None else suite, seeds=seeds
-    )
-    # a met planar verdict carries min_distance_sq 0; None means no gap was seen
-    gaps = (cell["verdict"].min_distance_sq for cell in report["cells"])
-    worst = max((gap for gap in gaps if gap is not None), default=None)
-    report["epsilon"] = epsilon
-    report["worst_min_distance_sq"] = worst
-    report["within_epsilon"] = worst is not None and worst <= epsilon * epsilon
-    report["routes"] = (r1, r2)
-    return report

@@ -22,7 +22,7 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .graph_model import EdgeTraversal, NodeHandle
+from .graph_model import EdgeTraversal, GraphError, NodeHandle
 
 
 class StepBudgetExceeded(Exception):
@@ -294,29 +294,32 @@ def parse_route_dump(text: str) -> Route:
 
     Edge identity is reconstructed canonically from the two directed
     endpoints; lengths are not carried by the format and default to 1.
+    A line that is neither a comment nor a traversal, or a ``# phase``
+    marker without an int, is a ``GraphError`` naming its line number.
     """
     one = Fraction(1)
     start = None
     steps = []
     marks = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "phase":
-                marks.append((int(parts[1]), len(steps)))
-            elif len(parts) == 2 and parts[0] == "start" and start is None:
-                start = parts[1]
-            continue
-        u, out_p, v, in_p = line.split("\t")
-        out_p, in_p = int(out_p), int(in_p)
-        a, b = (u, out_p), (v, in_p)
-        steps.append(EdgeTraversal(u, out_p, v, in_p, (min(a, b), max(a, b)), one))
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 2 and parts[0] == "phase":
+                    marks.append((int(parts[1]), len(steps)))
+                elif len(parts) == 2 and parts[0] == "start" and start is None:
+                    start = parts[1]
+            elif line:
+                u, out_p, v, in_p = line.split("\t")
+                out_p, in_p = int(out_p), int(in_p)
+                a, b = (u, out_p), (v, in_p)
+                steps.append(EdgeTraversal(u, out_p, v, in_p, (min(a, b), max(a, b)), one))
+        except ValueError:
+            raise GraphError(f"line {number} is not a route dump line: {raw!r}") from None
     if start is None:
         if not steps:
-            raise ValueError("empty dump needs an explicit start node")
+            raise GraphError("empty dump needs an explicit start node")
         start = steps[0].u
     r = route_from_steps(start, steps)
     r.phase_marks = marks

@@ -23,6 +23,7 @@ from tunnelmeet.adversary import (
     DEFAULT_SUITE,
     detect_meeting_graph,
     detect_meeting_planar,
+    epsilon_verdict,
     graph_point_at,
     make_schedule,
     verify_rendezvous,
@@ -38,7 +39,6 @@ from tunnelmeet.enumeration import (
     seq_encode,
 )
 from tunnelmeet.geometry import (
-    approx_rendezvous,
     audit_planar_route,
     geometric_routes,
     terrain_from_json,
@@ -423,23 +423,13 @@ def test_criterion_8_geometric_rendezvous(geometric_corpus):
 @pytest.fixture(scope="session")
 def approx_report():
     terrain, starts, labels, cap = _scenario_terrain("approx")
-    return (
-        approx_rendezvous(
-            terrain,
-            starts[0],
-            starts[1],
-            labels[0],
-            labels[1],
-            F(1, 1024),
-            Limits(cap, STEP_BUDGET),
-            seeds=tuple(range(5)),
-        ),
-        terrain,
-    )
+    routes = geometric_routes(terrain, starts, labels, Limits(cap, STEP_BUDGET))
+    report = verify_rendezvous(terrain, *routes, seeds=tuple(range(5)))
+    return epsilon_verdict(report, F(1, 1024)), terrain, routes
 
 
 def test_criterion_9_approximate_rendezvous(approx_report):
-    report, _ = approx_report
+    report, _, _ = approx_report
     worst = report["worst_min_distance_sq"]
     ok = report["within_epsilon"] and worst is not None and worst <= F(1, 1024) ** 2
     _report(
@@ -451,8 +441,8 @@ def test_criterion_9_approximate_rendezvous(approx_report):
 
 
 def test_criterion_10_containment_audit(geometric_corpus, approx_report):
-    report, terrain = approx_report
-    routes = [(terrain, r) for r in report["routes"]]
+    _, terrain, approx_routes = approx_report
+    routes = [(terrain, r) for r in approx_routes]
     for rec in geometric_corpus.values():
         routes.extend((rec["terrain"], r) for r in rec["routes"])
     points = 0

@@ -90,7 +90,9 @@ def test_run_rejects_duplicate_labels(tmp_path, capsys):
     base["agents"][1]["label"] = 1
     rc = main(["run", write_scenario(tmp_path, base)])
     assert rc == 2
-    assert "distinct" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioError: agents[1].label must be distinct")
+    assert err.count("\n") == 1
 
 
 def _set_edge_len(doc, value):
@@ -132,40 +134,6 @@ def test_run_rejects_bad_seeds(tmp_path, capsys, seeds):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "keys,value,field",
-    [
-        (("world",), 5, "world"),
-        (("limits",), "x", "limits"),
-        (("adversary",), 5, "adversary"),
-        (("agents",), [5, 6], "agents[0]"),
-        (("adversary", "strategies"), "unit_speed", "adversary.strategies"),
-        (("adversary", "strategies"), ["unit_speed", 3], "adversary.strategies"),
-        (("limits", "phase_cap"), 2.7, "limits.phase_cap"),
-        (("limits", "phase_cap"), True, "limits.phase_cap"),
-        (("limits", "step_budget"), "100", "limits.step_budget"),
-        (("limits", "phase_cap"), -2, "limits.phase_cap"),
-        (("limits", "step_budget"), -2, "limits.step_budget"),
-        (("limits", "step_budget"), 0, "limits.step_budget"),
-        (("adversary", "seeds"), [], "adversary.seeds"),
-        (("adversary", "strategies"), [], "adversary.strategies"),
-        (("adversary", "strategies"), ["sprint"], "adversary.strategies"),
-    ],
-)
-def test_run_rejects_bad_scenario_shapes(tmp_path, capsys, keys, value, field):
-    doc = json.loads((SCENARIOS / "k2.json").read_text())
-    *outer, last = keys
-    target = doc
-    for key in outer:
-        target = target[key]
-    target[last] = value
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ScenarioError: ")
-    assert f" {field} must be " in err
-    assert err.count("\n") == 1
-
-
 _DELETE = object()
 
 
@@ -190,6 +158,37 @@ def _edited(name, keys, value):
     elif isinstance(target, list) or last in target:  # nothing to delete otherwise
         del target[last]
     return doc
+
+
+@pytest.mark.parametrize(
+    "keys,value,field",
+    [
+        (("world",), 5, "world"),
+        (("limits",), "x", "limits"),
+        (("adversary",), 5, "adversary"),
+        (("agents",), [5, 6], "agents[0]"),
+        (("adversary", "strategies"), "unit_speed", "adversary.strategies"),
+        (("adversary", "strategies"), ["unit_speed", 3], "adversary.strategies"),
+        (("limits", "phase_cap"), 2.7, "limits.phase_cap"),
+        (("limits", "phase_cap"), True, "limits.phase_cap"),
+        (("limits", "step_budget"), "100", "limits.step_budget"),
+        (("limits", "phase_cap"), -2, "limits.phase_cap"),
+        (("limits", "step_budget"), -2, "limits.step_budget"),
+        (("limits", "step_budget"), 0, "limits.step_budget"),
+        (("adversary", "seeds"), [], "adversary.seeds"),
+        (("adversary", "strategies"), [], "adversary.strategies"),
+        (("adversary", "strategies"), ["sprint"], "adversary.strategies"),
+        (("world", "kind"), "mesh", "world.kind"),
+        (("limits", "phase_cap"), _DELETE, "limits.phase_cap"),
+        (("epsilon",), "1/100", "epsilon"),
+    ],
+)
+def test_run_rejects_bad_scenario_shapes(tmp_path, capsys, keys, value, field):
+    doc = _edited("k2", keys, value)
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ScenarioError: {field} must be ")
+    assert err.count("\n") == 1
 
 
 _MALFORMED = [  # (doc, the field named before "must be"); ids as before
@@ -241,8 +240,7 @@ _NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior
 def test_run_malformed_field_exits_two_naming_its_path(tmp_path, capsys, doc, field, says):
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ScenarioError: ")
-    assert f" {field} {says}" in err
+    assert err.startswith(f"error: ScenarioError: {field} {says}")
     assert err.count("\n") == 1
 
 
@@ -367,18 +365,18 @@ _SMALL_JSON = st.recursive(
 def test_fuzzed_scenario_field_exits_zero_one_or_two(field, value):
     """Any JSON (or nothing) at a label, a limit, the adversary's seeds or
     strategies, or epsilon: no exception escapes ``main``, a malformed
-    field is one ``error:`` line with exit 2, and a run that ends 0 or 1
-    has written its report (or, on exit 1, named the exceeded budget)."""
+    field is one ``error:`` line with exit 2, an exceeded budget one with
+    exit 4, and a run that ends 0 or 1 has written its report."""
     doc = _edited(*field, value)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(["run", write_scenario(Path(tmp), doc), "--out", str(out)])
-        assert rc in (0, 1, 2)
-        if rc == 2 or err.getvalue():
+        assert rc in (0, 1, 2, 4)
+        if rc in (2, 4):
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        if rc != 2 and not err.getvalue():
+        else:
             assert json.loads(out.read_text())["schema"] == "verdict-v1"
 
 
@@ -407,11 +405,51 @@ def test_route_zero_phases_emits_header_only(tmp_path):
 
 
 def test_route_budget_guard_exits_one(tmp_path, capsys):
+    # over budget has its own exit code, 4, apart from "not met" (1)
     rc = main(
         ["route", scenario_path("k2"), "--phase-cap", "500", "--step-budget", "9999"]
     )
-    assert rc == 1
-    assert "StepBudgetExceeded" in capsys.readouterr().err
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: StepBudgetExceeded: ")
+    assert main(["run", scenario_path("square"), "--step-budget", "10"]) == 4
+    assert capsys.readouterr().err.startswith("error: StepBudgetExceeded: ")
+
+
+@pytest.mark.parametrize("seeds", ["x", []])
+def test_route_rejects_what_run_rejects(tmp_path, capsys, seeds):
+    doc = _edited("k2", ("adversary", "seeds"), seeds)
+    assert main(["route", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioError: adversary.seeds must be ")
+    assert err.count("\n") == 1
+
+
+def test_internal_error_exits_three_with_its_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a library fault")
+
+    monkeypatch.setattr("tunnelmeet.cli.verify_rendezvous", broken)
+    assert main(["run", scenario_path("k2")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: a library fault\n")
+
+
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["run", scenario_path("k2"), "--out", "/no/such/dir/out.json"], "/no/such/dir/out.json"),
+        (["enumerate", "--end", "1", "--out", "/no/such/dir/out.txt"], "/no/such/dir/out.txt"),
+        (["run", "/no/such/scenario.json"], "/no/such/scenario.json"),
+        (["route", "/no/such/scenario.json"], "/no/such/scenario.json"),
+        (["tunnel", "/no/such/r1.txt", "/no/such/r2.txt"], "/no/such/r1.txt"),
+    ],
+)
+def test_unusable_path_exits_two_naming_it(capsys, argv, path):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ScenarioError: {path}: cannot ")
+    assert err.count("\n") == 1
 
 
 def test_tunnel_command(tmp_path, capsys):
@@ -424,6 +462,16 @@ def test_tunnel_command(tmp_path, capsys):
     # the certificate length is symmetric under swapping the inputs
     assert main(["tunnel", str(r2), str(r1)]) == 0
     assert capsys.readouterr().out == "tunnel n=1\n"
+
+
+def test_tunnel_malformed_dump_names_its_line(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "bad.txt"
+    good.write_text("# start a\na\t1\tb\t1\n", encoding="utf-8")
+    bad.write_text("# start a\na\t1\tb\t1\nb\t1\ta\n", encoding="utf-8")
+    assert main(["tunnel", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: GraphError: {bad}: line 3 is not a route dump line: 'b\\t1\\ta'\n"
 
 
 def test_tunnel_disjoint_routes(tmp_path, capsys):
@@ -445,6 +493,12 @@ def test_enumerate_matches_golden_head(capsys):
     assert main(["enumerate", "--kind", "zpair", "--end", "64"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split("\t")[1] for ln in lines] == golden["zpair_head"]
+
+
+@pytest.mark.parametrize("kind", ["phi", "zpair"])
+def test_enumerate_rejects_a_start_below_one(capsys, kind):
+    assert main(["enumerate", "--kind", kind, "--start", "0"]) == 2
+    assert capsys.readouterr().err == "error: ScenarioError: --start must be at least 1, got 0\n"
 
 
 def test_run_reports_are_byte_identical(tmp_path):
@@ -506,6 +560,15 @@ def test_run_generator_world(tmp_path):
     report = json.loads(out.read_text())
     assert report["all_met"] is True
     assert report["world"] == "generator"
+
+
+def test_run_generator_world_without_start_reports_none(tmp_path):
+    # a generator start that is absent is the origin, echoed as null
+    doc = _edited("line", ("agents", 0, "start"), _DELETE)
+    out = tmp_path / "verdict.json"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [a["start"] for a in report["agents"]] == [None, "origin"]
 
 
 def test_seed_flag_overrides_scenario_seeds(tmp_path):

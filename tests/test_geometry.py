@@ -13,13 +13,13 @@ from conftest import (
     path_port_sequences,
     rational_path,
 )
+from tunnelmeet.adversary import epsilon_verdict, verify_rendezvous
 from tunnelmeet.enumeration import rational_pair, rational_pair_index
 from tunnelmeet.geometry import (
     StartNotInterior,
     Terrain,
     TerrainError,
     TerrainGraph,
-    approx_rendezvous,
     audit_planar_route,
     first_boundary_hit,
     geometric_routes,
@@ -364,36 +364,22 @@ def test_frame_equivariance():
         assert a.kind == b.kind
 
 
-def test_approx_rendezvous_rational_starts_meet_exactly():
+def _approx_report(epsilon):
+    """The epsilon reading of the suite's report on two unit-square agents."""
     sq = unit_square()
-    rep = approx_rendezvous(
-        sq,
-        (F(3, 8), F(1, 2)),
-        (F(5, 8), F(1, 2)),
-        1,
-        2,
-        F(1, 100),
-        Limits(2),
-        seeds=(0,),
-    )
+    starts = ((F(3, 8), F(1, 2)), (F(5, 8), F(1, 2)))
+    r1, r2 = geometric_routes(sq, starts, (1, 2), Limits(2))
+    return epsilon_verdict(verify_rendezvous(sq, r1, r2, seeds=(0,)), epsilon)
+
+
+def test_approx_rendezvous_rational_starts_meet_exactly():
+    rep = _approx_report(F(1, 100))
     assert rep["all_met"]
     assert rep["worst_min_distance_sq"] == 0
     assert rep["within_epsilon"]
 
 
 def test_approx_rendezvous_reports_regardless_of_large_epsilon():
-    sq = unit_square()
-    rep = approx_rendezvous(
-        sq,
-        (F(3, 8), F(1, 2)),
-        (F(5, 8), F(1, 2)),
-        1,
-        2,
-        F(10),
-        Limits(2),
-        seeds=(0,),
-    )
+    rep = _approx_report(F(10))
     assert rep["within_epsilon"]
     assert rep["worst_min_distance_sq"] == 0  # actual distance, not the bound
-    with pytest.raises(ValueError):
-        approx_rendezvous(sq, (F(1, 2), F(1, 2)), (F(1, 4), F(1, 2)), 1, 2, F(0), Limits(1))
