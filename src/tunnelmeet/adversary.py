@@ -153,17 +153,21 @@ class WalkSchedule:
         return max((t1 for _, t1, _, _, _ in self.pieces()), default=Fraction(0))
 
     def position_at(self, t: Fraction) -> Fraction:
-        """Arc position at time t (exact)."""
-        last = Fraction(0)
-        for t0, t1, _, a0, a1 in self.pieces():
-            if t < t0:
+        """Arc position at time t (exact), read off ``lattice_pieces`` at
+        the route's own scale in ints, with one ``Fraction`` at the end."""
+        tscale, ascale = _lattice((self.route, self))
+        tn, td = t.numerator * tscale, t.denominator  # t on the lattice: tn / td
+        last = 0
+        for t0, t1, _, a0, a1, _, _, _ in self.lattice_pieces(tscale, ascale):
+            if tn < t0 * td:
                 break
-            if t <= t1:
+            if tn <= t1 * td:
                 if t1 == t0:
-                    return a1
-                return a0 + (a1 - a0) * (t - t0) / (t1 - t0)
+                    return Fraction(a1, ascale)
+                span = (t1 - t0) * td
+                return Fraction(a0 * span + (a1 - a0) * (tn - t0 * td), span * ascale)
             last = a1
-        return last
+        return Fraction(last, ascale)
 
 
 def make_schedule(strategy: str, route, seed: int = 0) -> WalkSchedule:
@@ -526,18 +530,23 @@ def graph_point_at(route, arc: Fraction):
     """Canonical geometric point at a given arc position on a graph route.
 
     Self-contained representation (no shared orientation table): a node
-    handle, or the edge id with the offset from both endpoints.
+    handle, or the edge id with the offset from both endpoints.  Arcs are
+    summed in ints at the route's scale ``length_den``.
     """
-    cum = Fraction(0)
+    d = route.length_den
+    an, ad = arc.numerator * d, arc.denominator  # arc * d == an / ad
+    cum = 0
     last = None
     for step in route.steps():
-        nxt = cum + step.length
-        if arc <= nxt:
-            off = arc - cum
+        num, den = step.length.as_integer_ratio()
+        nxt = cum + num * d // den
+        if an <= nxt * ad:
+            off = an - cum * ad
             if off == 0:
                 return ("node", step.u)
-            if off == step.length:
+            if off == (nxt - cum) * ad:
                 return ("node", step.v)
+            off = Fraction(off, ad * d)
             return ("edge", step.edge_id, frozenset({(step.u, off), (step.v, step.length - off)}))
         cum = nxt
         last = step

@@ -122,7 +122,10 @@ def _world(doc: dict):
         name = doc.get("name")
         known = isinstance(name, str) and name in _GENERATOR_STARTS
         _check(name, "world.name", "a generator name", lambda _: known)
-        return kind, generator(name, doc.get("unit_length", 1))
+        written = doc.get("unit_length", 1)
+        unit = _rational(written, "world.unit_length")
+        _check(written, "world.unit_length", "positive", lambda _: unit > 0)
+        return kind, generator(name, unit)
     spec = _check(doc.get(kind), f"world.{kind}", "an object", _is_object)
     try:
         return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)

@@ -22,12 +22,16 @@ sufficient condition for rendezvous under any adversary schedules.
 
 ``tunnel_check`` decides that relation exactly as a border problem over
 interned directed steps: the smallest ``n`` for which route one's first
-``n`` steps equal the last ``n`` of route two's reversed window, found by
-Knuth-Morris-Pratt matching in windows of 64, 256, 1024, ... steps.
+``n`` steps equal route two's first ``n`` steps reversed, read in windows
+of 64, 256, 1024, ... steps.  Each window is decoded into two ``str``s
+and searched with ``str.find`` in C; a window whose search needs more than
+a few exact candidate checks (periodic input) is finished by
+Knuth-Morris-Pratt, so the scan stays linear.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -36,6 +40,7 @@ from .graph_model import NodeHandle, PortLabeledGraph
 from .routes import (
     Route,
     StepBudgetExceeded,
+    _EndIds,
     _StepIds,
     _cat,
     _leaf,
@@ -176,53 +181,135 @@ def graph_rv(
 
 #: the scan reads windows of this many steps, then four times as many, ...
 _FIRST_WINDOW = 64
+#: exact candidate checks a window's string search may make before the
+#: window is handed to Knuth-Morris-Pratt
+_CHECKS = 8
+#: ids are native-endian ints of an ``array("i")``
+_UTF32 = f"utf-32-{sys.byteorder[0]}e"
 
 
 def tunnel_check(r1: Route, r2: Route) -> TunnelCertificate | None:
     """Smallest-``n`` tunnel certificate for two routes, if any.
 
     Let ``x`` hold the ids of route one's directed steps ``(u, out_port)``
-    and ``z`` those of route two's steps reversed, ``(v, in_port)``.  For a
-    window of ``m`` steps let ``w = z[m-1], ..., z[0]``.  A tunnel of
-    length ``n <= m`` is ``x[:n] == w[m-n:]``: a border between a prefix
-    of ``x`` and a suffix of ``w``.  Knuth-Morris-Pratt matching of ``w``
-    against ``x`` ends on the longest such ``n``, and the prefix function
-    chain below it holds every other, the last nonzero one being the
-    smallest.  The scan is exact: no hashing, no verification step.
-
-    The scan reads windows of 64, 256, 1024, ... steps, the last one
-    ``min(r1.length, r2.length)``, and stops at the first window that holds
-    a tunnel, so short tunnels stay cheap.  The prefix function only grows
-    with the window, so reading ``L`` steps costs about ``2.3 L`` loop
-    iterations.  ``_StepIds`` reads ``x`` and ``z`` off the rope, one
-    Python step per DAG node and leaf step.
+    and ``z`` those of route two's steps reversed, ``(v, in_port)``.  A
+    tunnel of length ``n`` is ``x[:n] == z[n-1::-1]``.  The scan reads
+    windows of 64, 256, 1024, ... steps, the last one ``min(r1.length,
+    r2.length)``, and stops at the first window that holds a tunnel, so
+    short tunnels stay cheap; ``_StepIds`` reads ``x`` and ``z`` off the
+    rope as far as the window, one Python step per DAG node and leaf step.
+    Each window is decided exactly, with no hashing, by ``_search`` (a
+    string search in C) or, when that gives up, by ``_kmp``; see
+    ``_smallest_tunnel``.
     """
-    limit = min(r1.length, r2.length)
-    table: dict = {}
+    table = _EndIds()
     one, two = _StepIds(r1, table), _StepIds(r2, table, in_end=True)
-    x, z = one.ids, two.ids
-    pi = array("i", [0])  # pi[i]: longest proper border of x[:i+1]
-    m = 0
-    while m < limit:
-        m = min(4 * m or _FIRST_WINDOW, limit)
+
+    def fill(m: int) -> None:
         one.fill(m)
         two.fill(m)
-        for i in range(len(pi), m):
-            c = x[i]
-            k = pi[i - 1]
-            while k and x[k] != c:
-                k = pi[k - 1]
-            if x[k] == c:
-                k += 1
-            pi.append(k)
-        n = 0
-        for c in z[m - 1 :: -1]:
-            while n and x[n] != c:
-                n = pi[n - 1]
-            if x[n] == c:
-                n += 1
-        while n and pi[n - 1]:
-            n = pi[n - 1]
+
+    n = _smallest_tunnel(one.ids, two.ids, min(r1.length, r2.length), fill)
+    return TunnelCertificate(n) if n else None
+
+
+def _smallest_tunnel(x: array, z: array, limit: int, fill) -> int:
+    """The smallest ``n <= limit`` with ``x[:n] == z[n-1::-1]``, or 0.
+
+    A window of ``m`` steps decides every ``n`` up to ``m``; ``fill(m)``
+    first extends ``x`` and ``z`` to ``m`` ids.  A window costs a bounded
+    number of linear string passes, at most ``_CHECKS`` exact checks among
+    them, plus one Knuth-Morris-Pratt pass over its ``m`` steps when the
+    string search gives up; the windows grow fourfold, so the whole scan
+    is linear in the steps read.  The prefix function ``pi`` of ``x``
+    grows across the windows that fall back to KMP.
+    """
+    pi = array("i", [0])  # pi[i]: longest proper border of x[:i+1]
+    lo = 0  # every n <= lo is ruled out
+    while lo < limit:
+        m = min(4 * lo or _FIRST_WINDOW, limit)
+        fill(m)
+        n = _search(x, z, lo, m)
+        if n is None:
+            n = _kmp(x, z, pi, m)
         if n:
-            return TunnelCertificate(n)
-    return None
+            return n
+        lo = m
+    return 0
+
+
+def _search(x: array, z: array, lo: int, m: int) -> int | None:
+    """The window's smallest tunnel ``n`` in ``(lo, m]``, 0 if it has none,
+    or None when ``_CHECKS`` exact checks did not settle it or the ids do
+    not decode (see ``_EndIds``).
+
+    With ``X = x[:m]`` and ``Y = z[m-1::-1]`` as ``str``, a tunnel ``n`` is
+    ``X[:n] == Y[m-n:]``.  No tunnel is ``lo`` steps or shorter, so each
+    one puts ``X[:lo+1]`` in ``Y`` at ``m - n``: ``Y.find`` lists the
+    candidates, leftmost (longest) first, and the first exact hit is the
+    longest tunnel ``N``.  Every shorter one is a border of ``X[:N]``, and
+    the shortest nonzero border is at most ``N // 2`` long, so ``X.rfind``
+    over ``X[N - N//2 : N]`` lists the candidates for the smallest, shortest
+    first; with none confirmed, it is ``N``.
+    """
+    try:
+        with memoryview(x) as xs, memoryview(z) as zs:
+            X = str(xs[:m], _UTF32)
+            Y = str(zs[:m], _UTF32)[::-1]
+    except UnicodeDecodeError:
+        return None
+    head = X[: lo + 1]
+    checks = 0
+    p = Y.find(head)
+    while p >= 0:
+        if checks == _CHECKS:
+            return None
+        checks += 1
+        if _occurs(Y, X[: m - p], p):
+            break
+        p = Y.find(head, p + 1)
+    if p < 0:
+        return 0
+    longest = m - p
+    mid = longest - longest // 2
+    q = X.rfind(head, mid, longest)
+    while q >= 0:
+        if checks == _CHECKS:
+            return None
+        checks += 1
+        if _occurs(X, X[: longest - q], q):
+            return longest - q
+        q = X.rfind(head, mid, q + lo)
+    return longest
+
+
+def _occurs(text: str, part: str, at: int) -> bool:
+    """Whether ``part`` occurs in ``text`` at ``at``: the string search's
+    one exact check, a comparison in C."""
+    return text.startswith(part, at)
+
+
+def _kmp(x: array, z: array, pi: array, m: int) -> int:
+    """The window's smallest tunnel by Knuth-Morris-Pratt, 0 if none.
+
+    Matching ``w = z[m-1::-1]`` against ``x`` ends on the longest ``n``
+    with ``x[:n] == w[m-n:]``, and the prefix function chain below it
+    holds every other, the last nonzero one being the smallest.  ``pi``
+    is first extended to ``m``."""
+    for i in range(len(pi), m):
+        c = x[i]
+        k = pi[i - 1]
+        while k and x[k] != c:
+            k = pi[k - 1]
+        if x[k] == c:
+            k += 1
+        pi.append(k)
+    n = 0
+    for c in z[m - 1 :: -1]:
+        while n and x[n] != c:
+            n = pi[n - 1]
+        if x[n] == c:
+            n += 1
+    while n and pi[n - 1]:
+        n = pi[n - 1]
+    return n

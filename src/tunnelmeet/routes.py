@@ -217,18 +217,32 @@ def _rev(node):
     return _Rev(node)
 
 
+class _EndIds(dict):
+    """Interns step ends as the ids 0, 1, 2, ..., skipping the UTF-16
+    surrogate block 0xD800-0xDFFF, so that an id array decodes as UTF-32
+    text in C while its ids stay below 0x110000 (1,112,064 ends)."""
+
+    def __missing__(self, end) -> int:
+        i = len(self)
+        if i >= 0xD800:
+            i += 0x800
+        self[end] = i
+        return i
+
+
 class _StepIds:
     """One end of each step of a route, as interned ints read off the rope.
 
     ``ids[i]`` is the id of step i's ``(u, out_port)``, or of its
-    ``(v, in_port)`` when ``in_end`` is set; ``table`` interns the ends
-    and is shared by the routes being compared.  ``ids`` grows on demand
-    by ``fill``.  Each rope node is expanded at most once per orientation:
-    a ``(node, reversed)`` pair met again is a slice copy of where it was
-    first written.  Python work is O(DAG nodes) plus the leaves' steps.
+    ``(v, in_port)`` when ``in_end`` is set; ``table``, an ``_EndIds``,
+    interns the ends and is shared by the routes being compared.  ``ids``
+    grows on demand by ``fill``.  Each rope node is expanded at most once
+    per orientation: a ``(node, reversed)`` pair met again is a slice copy
+    of where it was first written.  Python work is O(DAG nodes) plus the
+    leaves' steps.
     """
 
-    def __init__(self, route: Route, table: dict, in_end: bool = False):
+    def __init__(self, route: Route, table: _EndIds, in_end: bool = False):
         self.ids = array("i")
         self._table = table
         # a reversed step's (u, out_port) is the step's (v, in_port), so a
@@ -256,7 +270,7 @@ class _StepIds:
             else:
                 end = self._ends[rev]
                 steps = reversed(node.steps) if rev else node.steps
-                ids.extend([table.setdefault(end(s), len(table)) for s in steps])
+                ids.extend([table[end(s)] for s in steps])
 
 
 # Text dump -----------------------------------------------------------------

@@ -219,6 +219,9 @@ _MALFORMED = [  # (doc, the field named before "must be"); ids as before
     (_edited("k2", ("agents", 1, "label"), "2"), "agents[1].label"),
     (_edited("k2", ("agents", 0, "start"), "Z"), "agents[0].start"),
     (_edited("approx", ("epsilon",), "0"), "epsilon"),
+    (_edited("line", ("world", "unit_length"), 0), "world.unit_length"),
+    (_edited("line", ("world", "unit_length"), "-1"), "world.unit_length"),
+    (_edited("line", ("world", "unit_length"), "1/0"), "world.unit_length"),
 ]
 _NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior")
     (_edited("square", ("agents", 1, "start"), ["3/2", "1/2"]), 'agents[1].start ["3/2", "1/2"]'),

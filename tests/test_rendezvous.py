@@ -1,8 +1,11 @@
 import itertools
 import random
+from array import array
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import c4, k2, p3, prefix, random_walk_route, true_quadruple
 from tunnelmeet import rendezvous
@@ -161,11 +164,25 @@ def _brute_tunnel_n(r1, r2):
     return None
 
 
+def _on_both_paths(scan):
+    """``scan()`` on both paths of the tunnel scan: the string search at its
+    default cap, at cap 0 (every window with a candidate goes to KMP) and
+    switched off (KMP only)."""
+    out = []
+    for patch in ((), (("_CHECKS", 0),), (("_search", lambda *args: None),)):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patch:
+                mp.setattr(rendezvous, name, value)
+            out.append(scan())
+    return out
+
+
 def _scan_matches_brute(r1, r2):
-    """Assert that tunnel_check agrees with the reference; return its n."""
-    got = tunnel_check(r1, r2)
+    """Assert that both paths of tunnel_check agree with the reference;
+    return its n."""
     want = _brute_tunnel_n(r1, r2)
-    assert (got.n if got else None) == want
+    certs = _on_both_paths(lambda: tunnel_check(r1, r2))
+    assert [cert.n if cert else None for cert in certs] == [want] * 3
     return want
 
 
@@ -281,6 +298,133 @@ def test_tunnel_check_rejects_long_partial_matches(n):
     steps.append(line.traverse(last.u, 3 - last.out_port))
     head = route_from_steps(0, steps)
     assert _scan_matches_brute(r1, _line_route_two(head, 30)) is None
+
+
+@st.composite
+def _route_pairs(draw):
+    """Small route pairs: random walks (route two planted with a reversed
+    prefix of route one, or not), periodic K2/C4 walks, and line routes
+    with a tunnel planted at a window edge."""
+    kind = draw(st.sampled_from(("walks", "periodic", "window")))
+    if kind == "window":
+        n = draw(st.sampled_from((64, 65, 256, 257, 1024, 1025)))
+        r1 = _line_route_one(random.Random(draw(st.integers(0, 999))), n + draw(st.integers(0, 40)))
+        return r1, _line_route_two(prefix(r1, n), draw(st.integers(0, 40)))
+    if kind == "periodic":
+        g, start, ports = draw(st.sampled_from(((k2(), "AB", (1,)), (c4(), "abcd", (1, 2)))))
+        r1 = route_from_steps(start[0], _ports_walk(g, start[0], [1] * draw(st.integers(1, 300))))
+        start2, port2 = draw(st.sampled_from(start)), draw(st.sampled_from(ports))
+        b = draw(st.integers(1, 300))
+        return r1, route_from_steps(start2, _ports_walk(g, start2, [port2] * b))
+    g = random_connected_graph(5, draw(st.integers(0, 9)))
+
+    def walk(start):
+        picks = draw(st.lists(st.integers(0, 3), max_size=60))
+        steps, node = [], start
+        for pick in picks:
+            ports = g.ports(node)
+            steps.append(g.traverse(node, ports[pick % len(ports)]))
+            node = steps[-1].v
+        return route_from_steps(start, steps)
+
+    r1 = walk(g.nodes[draw(st.integers(0, 4))])
+    if draw(st.booleans()):
+        r1 = concat_routes(r1, reverse_route(r1), r1)  # a rope with shared, reversed parts
+    if r1.length and draw(st.booleans()):
+        head = reverse_route(prefix(r1, draw(st.integers(1, r1.length))))
+        return r1, concat_routes(head, walk(head.end))
+    return r1, walk(g.nodes[draw(st.integers(0, 4))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_route_pairs())
+def test_string_search_and_kmp_agree_with_brute_force(pair):
+    _scan_matches_brute(*pair)
+
+
+def _ids_tunnel(x, z, limit):
+    """The smallest tunnel of id arrays that already hold ``limit`` ids."""
+    return rendezvous._smallest_tunnel(x, z, limit, lambda m: None)
+
+
+@st.composite
+def _id_pairs(draw):
+    """Id arrays over one to three ids, route one's periodic or not, with
+    route two's first ``cut`` ids planted as route one's reversed."""
+    ids = st.integers(0, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        period, length = draw(st.lists(ids, min_size=1, max_size=5)), draw(st.integers(1, 400))
+        x = (period * length)[:length]
+    else:
+        x = draw(st.lists(ids, min_size=1, max_size=400))
+    cut = draw(st.integers(0, len(x)))
+    return x, x[:cut][::-1] + draw(st.lists(ids, max_size=400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_id_pairs())
+def test_string_search_and_kmp_agree_on_id_arrays(pair):
+    x, z = pair
+    limit = min(len(x), len(z))
+    want = next((n for n in range(1, limit + 1) if x[:n] == z[n - 1 :: -1]), 0)
+    assert _on_both_paths(lambda: _ids_tunnel(array("i", x), array("i", z), limit)) == [want] * 3
+
+
+def _counted_windows(monkeypatch):
+    """Record the exact checks of each window's string search, and whether
+    the window gave up to KMP."""
+    windows, checks = [], []
+    search, occurs = rendezvous._search, rendezvous._occurs
+
+    def counted_search(*args):
+        checks.clear()
+        n = search(*args)
+        windows.append((len(checks), n is None))
+        return n
+
+    def counted_occurs(*args):
+        checks.append(args)
+        return occurs(*args)
+
+    monkeypatch.setattr(rendezvous, "_search", counted_search)
+    monkeypatch.setattr(rendezvous, "_occurs", counted_occurs)
+    return windows
+
+
+@pytest.mark.parametrize("tunnel", [False, True])
+def test_periodic_worst_case_is_linear(monkeypatch, tunnel):
+    # x = 0^L against w = 0^(L-1)1: in every window the needle 0^(lo+1)
+    # occurs at nearly every position of w and every candidate fails, so
+    # an uncapped search is quadratic.  With tunnel, x ends in 1 as well:
+    # the whole window is the longest tunnel, then every border candidate
+    # fails.  Each window makes at most _CHECKS exact checks (each one
+    # linear in the window) before KMP, a linear pass, takes over.
+    length = 200_000
+    x = array("i", [0] * length)
+    z = array("i", [1] + [0] * (length - 1))
+    if tunnel:
+        x[-1] = 1
+    want = length if tunnel else 0
+    windows = _counted_windows(monkeypatch)
+    assert _ids_tunnel(x, z, length) == want
+    # windows of 64, 256, ..., 65536, then 200,000 steps: each one made
+    # _CHECKS checks and gave up
+    assert windows == [(rendezvous._CHECKS, True)] * 7
+    assert _on_both_paths(lambda: _ids_tunnel(x, z, length)) == [want] * 3
+
+
+def test_ids_past_the_surrogate_block_stay_on_the_string_search(monkeypatch):
+    # route one climbs the line from 0, so each of its steps is a new end
+    # and the shared table crosses 0xD800; route two walks the first n of
+    # them back down, then on below 0, so the one tunnel is n, past 0xD800
+    line = generator("infinite_line")
+    n = 58_000
+    r1 = route_from_steps(0, _ports_walk(line, 0, [1] * 60_000))
+    r2 = _line_route_two(prefix(r1, n), 2_000)
+    windows = _counted_windows(monkeypatch)
+    assert tunnel_check(r1, r2).n == n
+    assert all(not gave_up for _, gave_up in windows)  # every window decoded
+    assert [cert.n for cert in _on_both_paths(lambda: tunnel_check(r1, r2))] == [n] * 3
 
 
 def test_infinite_line_rendezvous_route():

@@ -1,4 +1,6 @@
 import random
+import sys
+from array import array
 from operator import attrgetter
 
 import pytest
@@ -7,6 +9,7 @@ from conftest import k2, random_walk_route
 from tunnelmeet.graph_model import random_connected_graph
 from tunnelmeet.routes import (
     Route,
+    _EndIds,
     _StepIds,
     concat_routes,
     dump_route,
@@ -118,7 +121,7 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
         b = random_walk_route(g, a.end, rng.randint(1, 40), rng)
         h = concat_routes(a, b)
         r = concat_routes(h, reverse_route(h), h, reverse_route(b), b, reverse_route(h))
-        table = {}
+        table = _EndIds()
         outs, ins = _StepIds(r, table), _StepIds(r, table, in_end=True)
         steps = list(r.steps())
         out_end, in_end = attrgetter("u", "out_port"), attrgetter("v", "in_port")
@@ -131,3 +134,14 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
                 assert have >= min(n, r.length)
                 assert list(got.ids) == [table[end(s)] for s in steps[:have]]
         assert len(outs.ids) == len(ins.ids) == r.length
+
+
+def test_end_ids_skip_the_surrogate_block():
+    # ids count up from 0 and jump from 0xD7FF to 0xE000, so an id array
+    # decodes as UTF-32 text
+    table = _EndIds()
+    ids = [table[k] for k in range(0xD800 + 3)]
+    assert ids[:0xD800] == list(range(0xD800))
+    assert ids[0xD800:] == [0xE000, 0xE001, 0xE002]
+    assert [table[k] for k in (0, 0xD7FF, 0xD800)] == [0, 0xD7FF, 0xE000]  # interned once
+    assert str(array("i", ids), f"utf-32-{sys.byteorder[0]}e")[-1] == "\ue002"
