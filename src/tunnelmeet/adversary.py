@@ -530,23 +530,18 @@ def graph_point_at(route, arc: Fraction):
     """Canonical geometric point at a given arc position on a graph route.
 
     Self-contained representation (no shared orientation table): a node
-    handle, or the edge id with the offset from both endpoints.  Arcs are
-    summed in ints at the route's scale ``length_den``.
+    handle, or the edge id with the offset from both endpoints.
     """
-    d = route.length_den
-    an, ad = arc.numerator * d, arc.denominator  # arc * d == an / ad
-    cum = 0
+    cum = Fraction(0)
     last = None
     for step in route.steps():
-        num, den = step.length.as_integer_ratio()
-        nxt = cum + num * d // den
-        if an <= nxt * ad:
-            off = an - cum * ad
+        nxt = cum + step.length
+        if arc <= nxt:
+            off = arc - cum
             if off == 0:
                 return ("node", step.u)
-            if off == (nxt - cum) * ad:
+            if off == step.length:
                 return ("node", step.v)
-            off = Fraction(off, ad * d)
             return ("edge", step.edge_id, frozenset({(step.u, off), (step.v, step.length - off)}))
         cum = nxt
         last = step

@@ -243,44 +243,31 @@ def _search(x: array, z: array, lo: int, m: int) -> int | None:
     or None when ``_CHECKS`` exact checks did not settle it or the ids do
     not decode (see ``_EndIds``).
 
-    With ``X = x[:m]`` and ``Y = z[m-1::-1]`` as ``str``, a tunnel ``n`` is
-    ``X[:n] == Y[m-n:]``.  No tunnel is ``lo`` steps or shorter, so each
-    one puts ``X[:lo+1]`` in ``Y`` at ``m - n``: ``Y.find`` lists the
-    candidates, leftmost (longest) first, and the first exact hit is the
-    longest tunnel ``N``.  Every shorter one is a border of ``X[:N]``, and
-    the shortest nonzero border is at most ``N // 2`` long, so ``X.rfind``
-    over ``X[N - N//2 : N]`` lists the candidates for the smallest, shortest
-    first; with none confirmed, it is ``N``.
+    With ``R = x[m-1::-1]`` and ``Z = z[:m]`` as ``str``, a tunnel ``n`` is
+    ``Z[:n] == R[m-n:]``, route one's first ``n`` steps reversed.  No
+    tunnel is ``lo`` steps or shorter, so each one puts ``R[m-lo-1:]``,
+    route one's first ``lo + 1`` steps reversed, in ``Z`` at ``n - lo - 1``:
+    ``Z.find``, which is linear, lists the candidates shortest first, and
+    the first exact hit is the smallest tunnel.
     """
     try:
         with memoryview(x) as xs, memoryview(z) as zs:
-            X = str(xs[:m], _UTF32)
-            Y = str(zs[:m], _UTF32)[::-1]
+            R = str(xs[:m], _UTF32)[::-1]
+            Z = str(zs[:m], _UTF32)
     except UnicodeDecodeError:
         return None
-    head = X[: lo + 1]
+    head = R[m - lo - 1 :]
     checks = 0
-    p = Y.find(head)
+    p = Z.find(head)
     while p >= 0:
         if checks == _CHECKS:
             return None
         checks += 1
-        if _occurs(Y, X[: m - p], p):
-            break
-        p = Y.find(head, p + 1)
-    if p < 0:
-        return 0
-    longest = m - p
-    mid = longest - longest // 2
-    q = X.rfind(head, mid, longest)
-    while q >= 0:
-        if checks == _CHECKS:
-            return None
-        checks += 1
-        if _occurs(X, X[: longest - q], q):
-            return longest - q
-        q = X.rfind(head, mid, q + lo)
-    return longest
+        n = p + lo + 1
+        if _occurs(R, Z[:n], m - n):
+            return n
+        p = Z.find(head, p + 1)
+    return 0
 
 
 def _occurs(text: str, part: str, at: int) -> bool:

@@ -371,19 +371,20 @@ def test_string_search_and_kmp_agree_on_id_arrays(pair):
 
 
 def _counted_windows(monkeypatch):
-    """Record the exact checks of each window's string search, and whether
-    the window gave up to KMP."""
-    windows, checks = [], []
+    """Record the number of exact checks of each window's string search,
+    and whether the window gave up to KMP.  Only counts are kept: a check's
+    arguments are as long as its window."""
+    windows, checks = [], [0]
     search, occurs = rendezvous._search, rendezvous._occurs
 
     def counted_search(*args):
-        checks.clear()
+        checks[0] = 0
         n = search(*args)
-        windows.append((len(checks), n is None))
+        windows.append((checks[0], n is None))
         return n
 
     def counted_occurs(*args):
-        checks.append(args)
+        checks[0] += 1
         return occurs(*args)
 
     monkeypatch.setattr(rendezvous, "_search", counted_search)
@@ -394,11 +395,12 @@ def _counted_windows(monkeypatch):
 @pytest.mark.parametrize("tunnel", [False, True])
 def test_periodic_worst_case_is_linear(monkeypatch, tunnel):
     # x = 0^L against w = 0^(L-1)1: in every window the needle 0^(lo+1)
-    # occurs at nearly every position of w and every candidate fails, so
-    # an uncapped search is quadratic.  With tunnel, x ends in 1 as well:
-    # the whole window is the longest tunnel, then every border candidate
-    # fails.  Each window makes at most _CHECKS exact checks (each one
-    # linear in the window) before KMP, a linear pass, takes over.
+    # occurs at nearly every position of z = 1 0^(L-1) and every candidate
+    # fails, so an uncapped search is quadratic.  With tunnel, x ends in 1
+    # as well: the whole last window is the one tunnel, and its candidate
+    # comes after all the others.  Each window makes at most _CHECKS exact
+    # checks (each one linear in the window) before KMP, a linear pass,
+    # takes over.
     length = 200_000
     x = array("i", [0] * length)
     z = array("i", [1] + [0] * (length - 1))
@@ -411,6 +413,23 @@ def test_periodic_worst_case_is_linear(monkeypatch, tunnel):
     # _CHECKS checks and gave up
     assert windows == [(rendezvous._CHECKS, True)] * 7
     assert _on_both_paths(lambda: _ids_tunnel(x, z, length)) == [want] * 3
+
+
+def test_one_long_tunnel_behind_a_period_is_found_at_once(monkeypatch):
+    # x = a C (ab)^K d and z = x reversed: the one tunnel is the whole of
+    # x.  A backward search for x's prefix inside x would match each
+    # aligned a from the needle's end and fail near its start, which is
+    # quadratic; past the first window (a lone a, found everywhere) the
+    # needle x[lo::-1] ends in C a, so the forward search finds nothing
+    # in a window short of x and the tunnel at once in the last.
+    x = array("i", [0, 2, 3, 4] + [0, 1] * (2**17 - 3) + [5])
+    z = x[::-1]
+    windows = _counted_windows(monkeypatch)
+    assert _ids_tunnel(x, z, len(x)) == len(x)
+    assert windows[1:] == [(0, False)] * (len(windows) - 2) + [(1, False)]
+    monkeypatch.undo()
+    monkeypatch.setattr(rendezvous, "_search", lambda *args: None)  # KMP only
+    assert _ids_tunnel(x, z, len(x)) == len(x)
 
 
 def test_ids_past_the_surrogate_block_stay_on_the_string_search(monkeypatch):
