@@ -11,11 +11,12 @@ The countable graph over rational interior points reduces terrain
 rendezvous to graph rendezvous: every rational offset is a port
 (numbered by the pair enumeration), a segment that stays interior is an
 edge between interior points, and a segment that touches the boundary
-leads to a degree-one stub node that forces the agent straight back.
-Routes built this way are polylines of rational points plus bounce
-pairs, so meeting detection stays in exact arithmetic.  No agent needs
-an explicit rational path between two interior points; the grid witness
-of that connectivity lemma lives with the tests (``tests/conftest.py``).
+leads to a degree-one stub node that carries its boundary point and
+forces the agent straight back.  Routes built this way are polylines of
+rational points plus bounce pairs, so meeting detection stays in exact
+arithmetic.  No agent needs an explicit rational path between two
+interior points; the grid witness of that connectivity lemma lives with
+the tests (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -175,9 +176,6 @@ class Terrain:
     def is_interior(self, p: QPoint) -> bool:
         return self.classify(p) == "interior"
 
-    def contains(self, p: QPoint) -> bool:
-        return self.classify(p) != "outside"
-
 
 def _validate_polygon(ring, name: str) -> None:
     """The per-polygon checks on one edge ring; crossings are found by
@@ -253,51 +251,23 @@ def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> QPoint | None:
 # The countable terrain graph
 # ---------------------------------------------------------------------------
 
-def gt_target(p: QPoint, port: int) -> QPoint:
-    """Absolute target of a port at p: p shifted by the port's offset."""
-    off = rational_pair(port)
-    return (p[0] + off.q1, p[1] + off.q2)
-
-
-@dataclass(frozen=True)
-class GtArrival:
-    """Outcome of following one port: an interior rational point, or a
-    boundary hit that forces the reverse stage back."""
-
-    kind: str  # "v1" | "v2"
-    point: QPoint  # reached interior point, or the boundary hit point
-
-
-def gt_traverse(t: Terrain, p: QPoint, port: int) -> GtArrival:
-    """Follow a port from p; ``first_boundary_hit`` rejects a p that is
-    not interior, also for the zero offset."""
-    target = gt_target(p, port)
-    hit = first_boundary_hit(t, p, target)
-    if hit is None:
-        return GtArrival("v1", target)
-    return GtArrival("v2", hit)
-
-
 class TerrainGraph(PortLabeledGraph):
     """Port-labeled view of a terrain.
 
-    Interior rational points have one port per rational offset (infinite
-    degree); boundary stubs are keyed by (origin point, port) and have
-    the single return port 1.  Edge lengths are the constant 1: the
-    adapter is combinatorial, the metric lives in the planar route.
+    Interior rational points ``("v1", point)`` have one port per rational
+    offset (infinite degree).  Port p leads to the point shifted by the
+    port's offset when that segment stays interior, and otherwise to the
+    boundary stub ``("v2", origin, p, hit)``, where ``hit`` is the
+    segment's first boundary contact; a stub has the single return port 1.
+    Each (point node, port) is followed once: its ``EdgeTraversal`` is kept
+    in ``_steps``, which lives and dies with the graph.  Edge lengths are
+    the constant 1: the adapter is combinatorial, the metric lives in the
+    planar route.
     """
 
     def __init__(self, terrain: Terrain):
         self.terrain = terrain
-        self._arrivals: dict = {}
-
-    def arrival(self, p: QPoint, port: int) -> GtArrival:
-        key = (p, port)
-        out = self._arrivals.get(key)
-        if out is None:
-            out = gt_traverse(self.terrain, p, port)
-            self._arrivals[key] = out
-        return out
+        self._steps: dict = {}
 
     def is_port(self, node, p: int) -> bool:
         if node[0] == "v1":
@@ -305,22 +275,29 @@ class TerrainGraph(PortLabeledGraph):
         return p == 1
 
     def traverse(self, node, p: int) -> EdgeTraversal:
-        if node[0] == "v1":
+        if node[0] == "v2":
+            if p != 1:
+                raise InvalidPort(f"{p} at {node!r}")
+            _, origin, out_port, _ = node
+            return EdgeTraversal(node, 1, ("v1", origin), out_port, ("b", origin, out_port), _ONE)
+        step = self._steps.get((node, p))
+        if step is None:
             if p < 1:
                 raise InvalidPort(f"{p} at {node!r}")
             point = node[1]
-            arr = self.arrival(point, p)
-            if arr.kind == "v2":
-                stub = ("v2", point, p)
-                return EdgeTraversal(node, p, stub, 1, ("b", point, p), _ONE)
-            other = arr.point
-            back = rational_pair_index(point[0] - other[0], point[1] - other[1])
-            a, b = sorted((point, other))
-            return EdgeTraversal(node, p, ("v1", other), back, ("f", a, b), _ONE)
-        if p != 1:
-            raise InvalidPort(f"{p} at {node!r}")
-        _, origin, out_port = node
-        return EdgeTraversal(node, 1, ("v1", origin), out_port, ("b", origin, out_port), _ONE)
+            off = rational_pair(p)
+            target = (point[0] + off.q1, point[1] + off.q2)
+            # rejects a point that is not interior, also for the zero offset
+            hit = first_boundary_hit(self.terrain, point, target)
+            if hit is None:
+                back = rational_pair_index(-off.q1, -off.q2)
+                a, b = sorted((point, target))
+                step = EdgeTraversal(node, p, ("v1", target), back, ("f", a, b), _ONE)
+            else:
+                stub = ("v2", point, p, hit)
+                step = EdgeTraversal(node, p, stub, 1, ("b", point, p), _ONE)
+            self._steps[node, p] = step
+        return step
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +316,10 @@ class PlanarRoute:
     through the embedding of each step as a planar segment.
 
     Nothing is stored per segment; ``embed`` renders a step on demand and
-    bounce points come from the graph's arrival cache.  Step count, steps
-    and phase marks are the rope's own (terrain edges have length 1).
+    reads a bounce point off its stub.  Step count, steps and phase marks
+    are the rope's own (terrain edges have length 1).
     """
 
-    graph: TerrainGraph
     route: Route
 
     #: lcm of the step lengths' denominators (``Route.length_den``):
@@ -375,13 +351,9 @@ class PlanarRoute:
 
     def embed(self, step: EdgeTraversal) -> PlanarSegment:
         if step.v[0] == "v2":
-            origin = step.u[1]
-            hit = self.graph.arrival(origin, step.out_port)
-            return PlanarSegment(origin, hit.point, "bounce_out")
+            return PlanarSegment(step.u[1], step.v[3], "bounce_out")
         if step.u[0] == "v2":
-            origin = step.v[1]
-            hit = self.graph.arrival(origin, step.in_port)
-            return PlanarSegment(hit.point, origin, "bounce_back")
+            return PlanarSegment(step.u[3], step.v[1], "bounce_back")
         return PlanarSegment(step.u[1], step.v[1], "free")
 
     def segments(self) -> Iterator[PlanarSegment]:
@@ -405,20 +377,18 @@ def geometric_rv(
 ) -> PlanarRoute:
     """Terrain rendezvous route: the graph construction run on the
     terrain's port-labeled view, seen as planar segments."""
-    gt = TerrainGraph(t)
-    return PlanarRoute(gt, graph_rv(gt, _start_node(t, start), label, limits))
+    return PlanarRoute(graph_rv(TerrainGraph(t), _start_node(t, start), label, limits))
 
 
 def geometric_routes(
     t: Terrain, starts: Iterable[QPoint], labels: Iterable[int], limits: Limits
 ) -> list[PlanarRoute]:
     """Every agent's ``geometric_rv`` route, built by one ``RouteBuilder``
-    on one ``TerrainGraph``, so the agents share boundary arrivals, walks
-    and phase histories.  Each start is checked just before its route."""
-    gt = TerrainGraph(t)
-    builder = RouteBuilder(gt, limits)
+    on one ``TerrainGraph``, so the agents share followed ports, walks and
+    phase histories.  Each start is checked just before its route."""
+    builder = RouteBuilder(TerrainGraph(t), limits)
     return [
-        PlanarRoute(gt, builder.route(_start_node(t, start), label))
+        PlanarRoute(builder.route(_start_node(t, start), label))
         for start, label in zip(starts, labels)
     ]
 

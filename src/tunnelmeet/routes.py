@@ -322,8 +322,8 @@ def parse_route_dump(text: str) -> Route:
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "phase":
                     marks.append((int(parts[1]), len(steps)))
-                elif len(parts) == 2 and parts[0] == "start" and start is None:
-                    start = parts[1]
+                elif len(parts) > 1 and parts[0] == "start" and start is None:
+                    start = line[1:].split(None, 1)[1]  # a node name may hold spaces
             elif line:
                 u, out_p, v, in_p = line.split("\t")
                 out_p, in_p = int(out_p), int(in_p)

@@ -132,7 +132,7 @@ def planar_route(points):
         gt.traverse(("v1", a), rational_pair_index(b[0] - a[0], b[1] - a[1]))
         for a, b in zip(points, points[1:])
     ]
-    return PlanarRoute(gt, route_from_steps(("v1", points[0]), steps))
+    return PlanarRoute(route_from_steps(("v1", points[0]), steps))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,43 @@ def test_run_hole_approx_small_epsilon(tmp_path):
     assert Fraction(int(num), int(den)) <= Fraction(1, 100) ** 2
 
 
+# approx's starts are 1/4 apart; each cell's least squared distance at
+# phase cap 1, by (strategy, seed): "0/1" where the agents meet
+_APPROX_CAP1_CELLS = {
+    ("unit_speed", 0): "1/16",
+    ("unit_speed", 1): "1/16",
+    ("alternating", 0): "0/1",
+    ("alternating", 1): "0/1",
+    ("random_speeds", 0): "1/1600",
+    ("random_speeds", 1): "1/16",
+    ("jitter", 0): "1/64",
+    ("jitter", 1): "81/16384",
+    ("frozen_prefix", 0): "1/16",
+    ("frozen_prefix", 1): "0/1",
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_run_approx_epsilon_with_a_nonzero_gap(tmp_path, cap):
+    # the worst cell keeps the starts' gap, 1/16 = (1/4)^2: within an
+    # epsilon of 1/4 (the bound is inclusive), outside one just below it
+    doc = json.loads((SCENARIOS / "approx.json").read_text())
+    for epsilon, rc in (("1/4", 0), ("255/1024", 1)):
+        doc["epsilon"] = epsilon
+        out = tmp_path / "verdict.json"
+        argv = ["run", write_scenario(tmp_path, doc), "--phase-cap", str(cap), "--out", str(out)]
+        assert main(argv) == rc
+        report = json.loads(out.read_text())
+        assert report["worst_min_distance_sq"] == "1/16"
+        assert report["within_epsilon"] is (rc == 0)
+        cells = {(c["strategy"], c["seed"]): c["min_distance_sq"] for c in report["cells"]}
+        assert all(c["met"] == (c["min_distance_sq"] == "0/1") for c in report["cells"])
+        if cap:
+            assert cells == _APPROX_CAP1_CELLS
+        else:
+            assert set(cells.values()) == {"1/16"}
+
+
 def test_run_rejects_duplicate_labels(tmp_path, capsys):
     base = json.loads((SCENARIOS / "k2.json").read_text())
     base["agents"][1]["label"] = 1

@@ -13,6 +13,7 @@ from conftest import (
     path_port_sequences,
     rational_path,
 )
+from tunnelmeet import geometry
 from tunnelmeet.adversary import epsilon_verdict, verify_rendezvous
 from tunnelmeet.enumeration import rational_pair, rational_pair_index
 from tunnelmeet.geometry import (
@@ -24,11 +25,10 @@ from tunnelmeet.geometry import (
     first_boundary_hit,
     geometric_routes,
     geometric_rv,
-    gt_target,
-    gt_traverse,
     terrain_from_json,
 )
-from tunnelmeet.rendezvous import Limits
+from tunnelmeet.graph_model import parse_rational
+from tunnelmeet.rendezvous import Limits, RouteBuilder
 
 
 def unit_square():
@@ -53,7 +53,7 @@ def test_terrain_classification():
     assert t.classify((F(3, 8), F(1, 2))) == "boundary"  # hole boundary
     assert t.classify((F(0), F(1, 2))) == "boundary"
     assert t.classify((F(2), F(2))) == "outside"
-    assert t.contains((F(0), F(0)))
+    assert t.classify((F(0), F(0))) != "outside"
     assert not t.is_interior((F(0), F(0)))
 
 
@@ -127,9 +127,12 @@ def test_terrain_rejection_messages(case):
     assert str(info.value) == message
 
 
+def _shipped(name):
+    return json.loads((resources.files("tunnelmeet") / "scenarios" / f"{name}.json").read_text())
+
+
 def _shipped_terrain(name):
-    doc = json.loads((resources.files("tunnelmeet") / "scenarios" / f"{name}.json").read_text())
-    return terrain_from_json(doc["world"]["terrain"])
+    return terrain_from_json(_shipped(name)["world"]["terrain"])
 
 
 _KERNEL_TERRAINS = [_shipped_terrain(name) for name in ("square", "lshape", "hole", "approx")]
@@ -225,38 +228,86 @@ def test_endpoint_on_boundary_counts_as_hit():
     assert first_boundary_hit(sq, (F(1, 2), F(1, 2)), (F(1), F(1, 2))) == (F(1), F(1, 2))
 
 
+def big_square():
+    """A square so large that every early port's segment stays interior."""
+    r = F(1000)
+    return Terrain(((-r, -r), (r, -r), (r, r), (-r, r)))
+
+
 def test_gt_target_examples():
-    assert gt_target((F(0), F(0)), 1) == (F(1, 4), F(0))
+    gt = TerrainGraph(big_square())
+    step = gt.traverse(("v1", (F(0), F(0))), 1)
+    assert step.v == ("v1", (F(1, 4), F(0)))
+    assert step.in_port == rational_pair_index(F(-1, 4), F(0))
     unit_east = rational_pair_index(F(1), F(0))
-    assert gt_target((F(0), F(0)), unit_east) == (F(1), F(0))
+    assert gt.traverse(("v1", (F(0), F(0))), unit_east).v == ("v1", (F(1), F(0)))
     port = rational_pair_index(F(-1, 2), F(1, 4))
-    assert gt_target((F(1, 3), F(2)), port) == (F(-1, 6), F(9, 4))
+    step = gt.traverse(("v1", (F(1, 3), F(2))), port)
+    assert step.v == ("v1", (F(-1, 6), F(9, 4)))
+    assert step.in_port == rational_pair_index(F(1, 2), F(-1, 4))
 
 
 def test_gt_target_translation_invariance():
     rng = random.Random(31)
+    gt = TerrainGraph(big_square())
     for port in range(1, 1001):
         off = rational_pair(port)
         p = rand_point(rng)
-        t = gt_target(p, port)
+        kind, t = gt.traverse(("v1", p), port).v
+        assert kind == "v1"
         assert (t[0] - p[0], t[1] - p[1]) == (off.q1, off.q2)
 
 
 def test_gt_traverse_examples():
-    sq = unit_square()
+    gt = TerrainGraph(unit_square())
     east = rational_pair_index(F(1, 8), F(0))
-    arr = gt_traverse(sq, (F(1, 2), F(1, 2)), east)
-    assert arr.kind == "v1" and arr.point == (F(5, 8), F(1, 2))
+    step = gt.traverse(("v1", (F(1, 2), F(1, 2))), east)
+    assert step.v == ("v1", (F(5, 8), F(1, 2)))
     north1 = rational_pair_index(F(0), F(1))
-    arr = gt_traverse(sq, (F(1, 2), F(1, 2)), north1)
-    assert arr.kind == "v2" and arr.point == (F(1, 2), F(1))
+    step = gt.traverse(("v1", (F(1, 2), F(1, 2))), north1)
+    assert step.v == ("v2", (F(1, 2), F(1, 2)), north1, (F(1, 2), F(1)))
+    assert step.in_port == 1
+    back = gt.traverse(step.v, 1)
+    assert (back.v, back.in_port, back.edge_id) == (step.u, north1, step.edge_id)
 
 
 @pytest.mark.parametrize("port", [1, 3])  # port 3 is the zero offset
 @pytest.mark.parametrize("p", [(F(0), F(1, 2)), (F(2), F(1, 2))])
 def test_gt_traverse_rejects_boundary_and_exterior_points(p, port):
     with pytest.raises(StartNotInterior):
-        gt_traverse(unit_square(), p, port)
+        TerrainGraph(unit_square()).traverse(("v1", p), port)
+
+
+def test_terrain_graph_follows_each_port_once(monkeypatch):
+    """Building ``square``'s two routes finds each memo entry with exactly
+    one boundary query; following a memoized port again makes none and
+    returns the same step, and each stub carries its port's first hit."""
+    calls = []
+
+    def counted(t, v, u):
+        calls.append((v, u))
+        return first_boundary_hit(t, v, u)
+
+    monkeypatch.setattr(geometry, "first_boundary_hit", counted)
+    doc = _shipped("square")
+    t = terrain_from_json(doc["world"]["terrain"])
+    gt = TerrainGraph(t)
+    builder = RouteBuilder(gt, Limits(doc["limits"]["phase_cap"]))
+    for agent in doc["agents"]:
+        start = tuple(map(parse_rational, agent["start"]))
+        builder.route(("v1", start), agent["label"])
+    memo = gt._steps
+    assert memo and len(calls) == len(memo)
+    stubs = 0
+    for (node, port), step in list(memo.items()):
+        assert gt.traverse(node, port) is step
+        if step.v[0] == "v2":
+            stubs += 1
+            off = rational_pair(port)
+            target = (node[1][0] + off.q1, node[1][1] + off.q2)
+            assert step.v == ("v2", node[1], port, first_boundary_hit(t, node[1], target))
+    assert len(calls) == len(memo)
+    assert stubs
 
 
 def test_terrain_graph_symmetry_sweep():

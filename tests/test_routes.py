@@ -88,12 +88,13 @@ def test_dump_and_parse_round_trip():
 
 
 def test_empty_dump_keeps_start():
-    r = Route("A")
-    text = dump_route(r)
-    assert text.startswith("# start A")
-    back = parse_route_dump(text)
-    assert back.start == "A"
-    assert back.length == 0
+    # a generator handle such as (0, 0) and a node name may hold spaces
+    for start, shown in (("A", "A"), ((0, 0), "(0, 0)"), ("a b", "a b")):
+        text = dump_route(Route(start))
+        assert text == f"# start {shown}\n"
+        back = parse_route_dump(text)
+        assert back.start == shown
+        assert back.length == 0
 
 
 def test_deeply_nested_reversal():
