@@ -78,9 +78,9 @@ class RouteBuilder:
     from one ``phase_stream``, ``walks`` maps ``(v, ports)`` to the walk,
     its reversal, its end node and its entry ports read backward (None when
     a port is missing on the way), and ``runs[v, label][k]`` is the rope after
-    ``k`` phases.  A run only appends a finished phase within the budget,
-    so after a ``StepBudgetExceeded`` every run is still consistent and the
-    builder can be asked again.
+    ``k`` phases.  A phase adds at most one rope node, a single ``_cat``.
+    A run appends a phase only within the budget, so after a
+    ``StepBudgetExceeded`` the builder can be asked again.
     """
 
     def __init__(self, g: PortLabeledGraph, limits: Limits):
@@ -141,18 +141,16 @@ class RouteBuilder:
         else:
             return root
         walk, back, end, entries = self._walk(v, s1)
-        hist = root
-        root = _cat(root, walk)
         if s2 == entries:
             sim = self._ropes(end, other, k - 1)[k - 1]
-            root = _cat(root, sim, back, _rev(hist), walk, _rev(sim))
-        root = _cat(root, back)
-        length = root.length
-        if length > self.limits.step_budget:
+            root = _cat(root, walk, sim, back, _rev(root), walk, _rev(sim), back)
+        else:
+            root = _cat(root, walk, back)
+        if root.length > self.limits.step_budget:
             raise StepBudgetExceeded(
                 f"route for label {label} exceeds {self.limits.step_budget} "
                 f"steps at phase {k}",
-                length,
+                root.length,
                 k,
                 label,
             )

@@ -8,7 +8,8 @@ shared.  Building is O(nodes); only iteration pays for the
 materialized length, and the step budget caps that length up front.
 
 Every rope node is built by ``_leaf``, ``_cat`` or ``_rev`` (empty kids
-dropped, a lone kid returned, a reversed reversal unwrapped); the public
+dropped, a lone kid returned, a reversed reversal unwrapped); a ``_Cat``
+only by ``_cat``, which gives it its length.  The public
 ``route_from_steps``, ``concat_routes`` and ``reverse_route`` wrap them.
 """
 
@@ -55,11 +56,12 @@ class _Leaf:
 
 
 class _Cat:
+    # two or more non-empty kids; built only by _cat, which sums the length
     __slots__ = ("kids", "length")
 
-    def __init__(self, kids: tuple):
+    def __init__(self, kids: tuple, length: int):
         self.kids = kids
-        self.length = sum(k.length for k in kids)
+        self.length = length
 
 
 class _Rev:
@@ -201,12 +203,10 @@ def _leaf(steps: tuple[EdgeTraversal, ...]):
 
 
 def _cat(*nodes):
-    kids = tuple(n for n in nodes if n.length > 0)
-    if not kids:
-        return _EMPTY
-    if len(kids) == 1:
-        return kids[0]
-    return _Cat(kids)
+    kids = tuple(n for n in nodes if n.length)
+    if len(kids) > 1:
+        return _Cat(kids, sum(n.length for n in kids))
+    return kids[0] if kids else _EMPTY
 
 
 def _rev(node):
@@ -309,7 +309,7 @@ def parse_route_dump(text: str) -> Route:
     Edge identity is reconstructed canonically from the two directed
     endpoints; lengths are not carried by the format and default to 1.
     A line that is neither a comment nor a traversal, or a ``# phase``
-    marker without an int, is a ``GraphError`` naming its line number.
+    line other than ``# phase <int>``, is a ``GraphError`` naming its line.
     """
     one = Fraction(1)
     start = None
@@ -320,8 +320,9 @@ def parse_route_dump(text: str) -> Route:
         try:
             if line.startswith("#"):
                 parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "phase":
-                    marks.append((int(parts[1]), len(steps)))
+                if parts[:1] == ["phase"]:
+                    _, k = parts  # a ValueError unless one word follows
+                    marks.append((int(k), len(steps)))
                 elif len(parts) > 1 and parts[0] == "start" and start is None:
                     start = line[1:].split(None, 1)[1]  # a node name may hold spaces
             elif line:

@@ -2,7 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice, product, takewhile
 from random import Random
 
 from tunnelmeet.enumeration import Quadruple, phi_index, rational_pair_index
@@ -17,8 +17,14 @@ from tunnelmeet.geometry import (
     _segments_intersect,
     first_boundary_hit,
 )
-from tunnelmeet.graph_model import build_finite_graph, random_connected_graph
-from tunnelmeet.routes import route_from_steps
+from tunnelmeet.graph_model import (
+    build_finite_graph,
+    generator,
+    generator_origin,
+    random_connected_graph,
+)
+from tunnelmeet.rendezvous import Limits, RouteBuilder, tunnel_check
+from tunnelmeet.routes import StepBudgetExceeded, route_from_steps
 
 
 def k2():
@@ -121,6 +127,57 @@ def true_quadruple(g, v, w, i, j):
             best = (k, q)
     assert best is not None, "corpus worlds are connected"
     return best
+
+
+def lazy_ports(g, v):
+    """The ports of node ``v`` of a generator world, which numbers a
+    node's ports 1, 2, ... without gaps."""
+    return list(takewhile(lambda p: g.is_port(v, p), count(1)))
+
+
+def port_walks(g, v, d):
+    """Every walk of ``d`` steps from ``v`` as ``(ports, end, entries)``,
+    ``entries`` being the entry ports read backward; the search that
+    stands in for BFS on a generator world, which has no ``ports()``."""
+    walks = [((), v, ())]
+    for _ in range(d):
+        walks = [
+            (ports + (p,), step.v, (step.in_port,) + entries)
+            for ports, node, entries in walks
+            for p in lazy_ports(g, node)
+            for step in (g.traverse(node, p),)
+        ]
+    return walks
+
+
+def infinite_corpus(budget=10**7):
+    """Rendezvous on the generator worlds: agent one at the origin with
+    label i, agent two at every node one or two steps away with label j,
+    for every label pair i < j <= 3, each at its true phase and built by
+    its own ``RouteBuilder``.  A record holds the routes and their tunnel
+    certificate, or the ``StepBudgetExceeded`` length of the run that
+    crossed the budget."""
+    records = []
+    for kind in ("infinite_line", "infinite_grid", "infinite_binary_tree"):
+        g, origin = generator(kind), generator_origin(kind)
+        dist = {origin: 0}
+        for d in (1, 2):  # shortest port paths to the nodes d steps away
+            shortest = {}
+            for ports, w, entries in port_walks(g, origin, d):
+                if dist.setdefault(w, d) == d:
+                    shortest.setdefault(w, []).append((ports, entries))
+            for (i, j), (w, paths) in product(((1, 2), (1, 3), (2, 3)), shortest.items()):
+                k = min(phi_index(Quadruple(i, j, *path)) for path in paths)
+                rec = {"world": kind, "labels": (i, j), "starts": (origin, w), "phase": k}
+                builder = RouteBuilder(g, Limits(k, budget))
+                try:
+                    r1, r2 = builder.route(origin, i), builder.route(w, j)
+                except StepBudgetExceeded as exc:
+                    rec.update(routes=None, over_length=exc.length, over_label=exc.label)
+                else:
+                    rec.update(routes=(r1, r2), cert=tunnel_check(r1, r2))
+                records.append(rec)
+    return records
 
 
 def planar_route(points):

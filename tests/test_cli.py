@@ -514,6 +514,18 @@ def test_tunnel_malformed_dump_names_its_line(tmp_path, capsys):
     assert err == f"error: GraphError: {bad}: line 3 is not a route dump line: 'b\\t1\\ta'\n"
 
 
+@pytest.mark.parametrize("marker", ["# phase", "# phase 1 2"])
+def test_tunnel_malformed_phase_marker_exits_two(tmp_path, capsys, marker):
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "bad.txt"
+    good.write_text("# start a\na\t1\tb\t1\n", encoding="utf-8")
+    bad.write_text(f"# start a\n{marker}\na\t1\tb\t1\n", encoding="utf-8")
+    assert main(["tunnel", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: GraphError: {bad}: line 2 is not a route dump line: {marker!r}\n"
+
+
 def test_tunnel_disjoint_routes(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -7,13 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import c4, k2, p3, prefix, random_walk_route, true_quadruple
+from conftest import (
+    c4,
+    infinite_corpus,
+    k2,
+    p3,
+    prefix,
+    random_walk_route,
+    true_quadruple,
+)
 from tunnelmeet import rendezvous
 from tunnelmeet.enumeration import Quadruple, phase_stream, phi_index
 from tunnelmeet.graph_model import generator, random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
 from tunnelmeet.routes import (
     StepBudgetExceeded,
+    _Cat,
+    _Rev,
     concat_routes,
     reverse_route,
     route_from_steps,
@@ -446,16 +456,23 @@ def test_ids_past_the_surrogate_block_stay_on_the_string_search(monkeypatch):
     assert [cert.n for cert in _on_both_paths(lambda: tunnel_check(r1, r2))] == [n] * 3
 
 
-def test_infinite_line_rendezvous_route():
-    line = generator("infinite_line")
-    # agents at 0 and 1; the connecting path is the single +1 edge
-    step = line.traverse(0, 1)
-    quad = Quadruple(1, 2, (1,), (step.in_port,))
-    k = phi_index(quad)
-    r1 = graph_rv(line, 0, 1, Limits(k))
-    r2 = graph_rv(line, 1, 2, Limits(k))
-    cert = tunnel_check(r1, r2)
-    assert cert is not None
+def test_infinite_worlds_build_and_certify_routes():
+    # every instance at its true phase and the 10^7 budget; the split is
+    # pinned as found, with no start or label chosen to make more fit
+    records = infinite_corpus()
+    built = [r for r in records if r["routes"]]
+    for rec in built:
+        assert rec["cert"] is not None, (rec["world"], rec["labels"], rec["starts"])
+        for route, start in zip(rec["routes"], rec["starts"]):
+            assert all(route.node_after(mark) == start for _, mark in route.phase_marks)
+    over = [r for r in records if not r["routes"]]
+    listing = "\n".join(
+        f"{r['world']} labels={r['labels']} starts={r['starts']} phase={r['phase']}: "
+        f"length {r['over_length']} in the run of label {r['over_label']}"
+        for r in over
+    )
+    assert all(r["over_length"] > 10**7 for r in over), listing
+    assert (len(records), len(built), len(over)) == (66, 25, 41), listing
 
 
 def test_step_budget_guard():
@@ -560,6 +577,46 @@ def test_no_phase_is_replayed(monkeypatch, g, start, cap):
     builder.route(start, 1)
     assert traversed
     assert len(traversed) == sum(walked(v, ports) for v, ports in builder.walks)
+
+
+def _rope_nodes(*roots):
+    """Every distinct rope node reachable from ``roots``."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, _Rev):
+                stack.append(node.kid)
+            elif isinstance(node, _Cat):
+                stack.extend(node.kids)
+    return list(seen.values())
+
+
+def test_a_phase_adds_at_most_one_rope_node():
+    g = random_connected_graph(5, 3)
+    builder = RouteBuilder(g, Limits(200, 10**30))
+    builder.route("n0", 1)
+    builder.route("n1", 2)
+    runs = list(builder.runs.values())
+    grown = [
+        (ropes[k - 1], ropes[k])
+        for ropes in runs
+        for k in range(1, len(ropes))
+        if ropes[k] is not ropes[k - 1]
+    ]
+    cats = [n for n in _rope_nodes(*(r for ropes in runs for r in ropes)) if isinstance(n, _Cat)]
+    assert len(grown) > 1000
+    assert len(cats) == len(grown)
+    for node in cats:
+        assert len(node.kids) >= 2
+        assert all(kid.length for kid in node.kids)
+        assert node.length == sum(kid.length for kid in node.kids)
+    # a grown rope is one _cat whose first kid is the rope before it
+    for before, after in grown:
+        assert isinstance(after, _Cat)
+        assert not before.length or after.kids[0] is before
 
 
 def test_routes_are_chained_and_use_confirmed_ports():

@@ -6,7 +6,7 @@ from operator import attrgetter
 import pytest
 
 from conftest import k2, random_walk_route
-from tunnelmeet.graph_model import random_connected_graph
+from tunnelmeet.graph_model import GraphError, random_connected_graph
 from tunnelmeet.routes import (
     Route,
     _EndIds,
@@ -85,6 +85,18 @@ def test_dump_and_parse_round_trip():
     ]
     assert back.phase_marks == r.phase_marks
     assert dump_route(back) == text
+
+
+@pytest.mark.parametrize("marker", ["# phase", "# phase 1 2", "# phase x", "#phase 1.5"])
+def test_malformed_phase_marker_names_its_line(marker):
+    # a comment whose first word is "phase" must be "# phase <int>"
+    text = f"# start A\n{marker}\nA\t1\tB\t1\n"
+    with pytest.raises(GraphError) as info:
+        parse_route_dump(text)
+    assert str(info.value) == f"line 2 is not a route dump line: {marker!r}"
+    # other comments, "# phases" among them, are skipped
+    back = parse_route_dump("# start A\n#  phase   3 \n# phases 1 2\nA\t1\tB\t1\n")
+    assert back.phase_marks == [(3, 0)]
 
 
 def test_empty_dump_keeps_start():
