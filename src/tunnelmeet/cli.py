@@ -359,8 +359,8 @@ def cmd_enumerate(args) -> int:
         else:
             pair = rational_pair(k)
             value = f"({format_rational(pair.q1)},{format_rational(pair.q2)})"
-        lines.append(f"{k}\t{value}")
-    _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"{k}\t{value}\n")
+    _emit("".join(lines), args.out)  # an empty range writes nothing
     return 0
 
 

@@ -20,24 +20,28 @@ is the knob that keeps desk-scale runs affordable.  The order is frozen
 (see ``ENUM_VERSION`` and the shipped golden file); changing it is a
 breaking format change.
 
-The route builder reads only ``phase_stream``, and terrain ports use
-``rational_pair`` and its inverse ``rational_pair_index`` (built on
-``rational_index``).  ``phi_index`` and the sequence codec
-``seq_encode``/``seq_decode`` are oracles: the acceptance tests check
-the bijections with them, and ``phi_index`` names the phase at which a
-world's true hypothesis comes up.
+The route builder reads only ``PHASES``, the process's ``PhaseTable``,
+and terrain ports use ``rational_pair`` and its inverse
+``rational_pair_index`` (built on ``rational_index``).  ``phi_index`` and
+the sequence codec ``seq_encode``/``seq_decode`` are oracles: the
+acceptance tests check the bijections with them, and ``phi_index`` names
+the phase at which a world's true hypothesis comes up.
 
 The order within a weight class is written once, in ``_blocks``, and
-``phi``, ``phi_index`` and ``phase_stream`` all walk it.  Module-level
-caches hold only pure functions of small ints, never world data: label
-pairs per budget (``_label_pairs``), one class start per weight
-(``_CLASS_STARTS``) and the composition tuples ``phase_stream`` reads
-(``_compositions``).  Blocks are not cached: heavy round trips reach
-weights near 200, where caching each block costs tens of MiB.
+``phi``, ``phi_index`` and ``_phases`` all walk it; ``_phases`` is the one
+decoder of the stream, read by ``phase_stream`` and ``PhaseTable``.
+Module-level caches hold only pure functions of small ints, never world
+data: label pairs per budget (``_label_pairs``), one class start per
+weight (``_CLASS_STARTS``), the composition tuples ``_phases`` reads
+(``_compositions``) and the phases decoded so far (``PHASES``), each
+drawn once per process as runs reach it.  Blocks are not cached: heavy
+round trips reach weights near 200, where caching each block costs tens
+of MiB.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,18 +276,62 @@ def phi_index(q: Quadruple) -> int:
     raise AssertionError("block not found in its own weight class")
 
 
-def phase_stream() -> Iterator[tuple[int, Quadruple]]:
-    """Yield (k, phi(k)) for k = 1, 2, ... by walking the blocks in order.
-
-    The route builder walks phases in order; iterating the grading
-    directly is much cheaper than calling :func:`phi` per phase.
-    """
+def _phases() -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Yield ``(k, i, j, s', s'')`` for k = 1, 2, ... by walking the blocks
+    in order: the one decoder of the stream, building no ``Quadruple``."""
     k = 1
     for w in count(_MIN_WEIGHT):
         for i, j, m, n, _ in _blocks(w):
             for joint in _compositions(m, 2 * n):
-                yield k, Quadruple(i, j, joint[:n], joint[n:])
+                yield k, i, j, joint[:n], joint[n:]
                 k += 1
+
+
+def phase_stream() -> Iterator[tuple[int, Quadruple]]:
+    """Yield (k, phi(k)) for k = 1, 2, ..., a view over one fresh walk of
+    the blocks; iterating the grading directly is much cheaper than
+    calling :func:`phi` per phase."""
+    for k, i, j, s_prime, s_dprime in _phases():
+        yield k, Quadruple(i, j, s_prime, s_dprime)
+
+
+class PhaseTable:
+    """``phi(k)`` for k = 1, 2, ..., decoded once and grown on demand.
+
+    A cache of a pure function of small ints: phase k's hypothesis
+    depends only on k, so one table serves every route of every world.
+    ``draw(k)`` decodes phases up to k from one walk of the blocks, and
+    nothing past it.  Phase k is ``(i[k], j[k], seqs[s_prime[k]],
+    seqs[s_dprime[k]])``: its labels and the ids of its interned port
+    sequences, kept in ``array``s (index 0 is unused), since a few hundred
+    distinct sequences serve thousands of phases.  Growing one table from
+    two threads at once is not supported; the package starts no threads.
+    """
+
+    def __init__(self) -> None:
+        self.i, self.j = array("i", [0]), array("i", [0])
+        self.s_prime, self.s_dprime = array("i", [0]), array("i", [0])
+        self.seqs: list[tuple[int, ...]] = [()]
+        self._ids = {(): 0}
+        self._walk = _phases()
+
+    def draw(self, k: int) -> None:
+        """Decode phases until phase k is held."""
+        ids, seqs = self._ids, self.seqs
+        while len(self.i) <= k:
+            _, i, j, s_prime, s_dprime = next(self._walk)
+            self.i.append(i)
+            self.j.append(j)
+            for seq, out in ((s_prime, self.s_prime), (s_dprime, self.s_dprime)):
+                n = ids.get(seq)
+                if n is None:
+                    n = ids[seq] = len(seqs)
+                    seqs.append(seq)
+                out.append(n)
+
+
+#: the process's phase table, shared by every ``RouteBuilder``
+PHASES = PhaseTable()
 
 
 # ---------------------------------------------------------------------------

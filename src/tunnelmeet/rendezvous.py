@@ -9,12 +9,14 @@ simulation of the other agent's first ``k-1`` phases and a back-and-
 forth that forces the two routes to form a tunnel for that hypothesis.
 That simulation is a prefix of the partner's own route.
 
-An agent's route depends only on its start, its label and the world, so
+Phase ``k``'s hypothesis is ``phi(k)``, a function of ``k`` alone, so
+every builder in the process reads one phase table,
+``enumeration.PHASES``, decoded once as runs reach each phase.  An
+agent's route depends only on its start, its label and the world, so
 ``RouteBuilder`` builds every route of one world from shared parts: one
-decoded phase table, one walk per ``(start, ports)`` hypothesis and one
-phase history per ``(start, label)``, in which a simulation is a lookup.
-Both agents of a run are built by one builder; ``graph_rv`` is the
-one-shot form.
+walk per ``(start, ports)`` hypothesis and one phase history per
+``(start, label)``, in which a simulation is a lookup.  Both agents of a
+run are built by one builder; ``graph_rv`` is the one-shot form.
 
 Two routes form a tunnel when a prefix of one, read backward with every
 traversal reversed, is a prefix of the other; a tunnel certificate is a
@@ -35,7 +37,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .enumeration import phase_stream
+from .enumeration import PHASES
 from .graph_model import NodeHandle, PortLabeledGraph
 from .routes import (
     Route,
@@ -72,22 +74,23 @@ class RouteBuilder:
     """Every route of one world, built once: ``route(v, label)`` for any
     number of agents, each up to ``limits.phase_cap`` phases.
 
-    Phase ``k``'s quadruple, a hypothesis walk from a start node and the
-    rope of a ``(start, label)`` run after ``k`` phases each depend only on
-    the world, so each is computed once per builder: ``quads[k]`` is drawn
-    from one ``phase_stream``, ``walks`` maps ``(v, ports)`` to the walk,
-    its reversal, its end node and its entry ports read backward (None when
-    a port is missing on the way), and ``runs[v, label][k]`` is the rope after
-    ``k`` phases.  A phase adds at most one rope node, a single ``_cat``.
-    A run appends a phase only within the budget, so after a
+    Phase ``k``'s quadruple comes from ``PHASES``, the process's phase
+    table, which draws phase ``k`` only when a run reaches it.  A
+    hypothesis walk from a start node and the rope of a ``(start, label)``
+    run after ``k`` phases each depend only on the world, so each is
+    computed once per builder: ``walks`` maps ``(v, seq)``, ``seq`` the id
+    of an interned port sequence in ``PHASES.seqs``, to the walk, its
+    reversal, its end node and its entry ports read backward (None when a
+    port is missing on the way), and ``runs[v, label][k]`` is the rope
+    after ``k`` phases, the same rope as after ``k - 1`` when phase ``k``
+    does not name the label.  A phase adds at most one rope node, a single
+    ``_cat``.  A run appends a phase only within the budget, so after a
     ``StepBudgetExceeded`` the builder can be asked again.
     """
 
     def __init__(self, g: PortLabeledGraph, limits: Limits):
         self.g = g
         self.limits = limits
-        self.quads = [None]
-        self._stream = phase_stream()
         self.walks: dict = {}
         self.runs: dict = {}
 
@@ -106,55 +109,54 @@ class RouteBuilder:
         Phase counts strictly decrease along the recursion, so a run being
         extended is asked only for phases it holds."""
         ropes = self.runs.setdefault((v, label), [_leaf(())])
-        quads = self.quads
-        while len(ropes) <= phases:
-            k = len(ropes)
-            while len(quads) <= k:
-                quads.append(next(self._stream)[1])
-            ropes.append(self._phase(v, label, k, quads[k], ropes[-1]))
+        table, walks, budget = PHASES, self.walks, self.limits.step_budget
+        i, j, seqs = table.i, table.j, table.seqs
+        for k in range(len(ropes), phases + 1):
+            if k >= len(i):
+                table.draw(k)
+            root = ropes[-1]
+            if label == i[k]:
+                s1, s2, other = table.s_prime[k], table.s_dprime[k], j[k]
+            elif label == j[k]:
+                s1, s2, other = table.s_dprime[k], table.s_prime[k], i[k]
+            else:
+                ropes.append(root)
+                continue
+            walk, back, end, entries = walks.get((v, s1)) or self._walk(v, s1)
+            if seqs[s2] == entries:
+                sim = self._ropes(end, other, k - 1)[k - 1]
+                root = _cat(root, walk, sim, back, _rev(root), walk, _rev(sim), back)
+            elif walk.length:  # a walk that fails at once adds nothing
+                root = _cat(root, walk, back)
+            if root.length > budget:
+                raise StepBudgetExceeded(
+                    f"route for label {label} exceeds {budget} steps at phase {k}",
+                    root.length,
+                    k,
+                    label,
+                )
+            ropes.append(root)
         return ropes
 
-    def _walk(self, v: NodeHandle, ports: tuple) -> tuple:
-        walk = self.walks.get((v, ports))
-        if walk is None:
-            g = self.g
-            walked = []
-            cur = v
-            for port in ports:
-                if not g.is_port(cur, port):
-                    break
-                step = g.traverse(cur, port)
-                walked.append(step)
-                cur = step.v
-            entries = None
-            if len(walked) == len(ports):
-                entries = tuple(step.in_port for step in reversed(walked))
-            leaf = _leaf(tuple(walked))
-            walk = self.walks[v, ports] = (leaf, _rev(leaf), cur, entries)
+    def _walk(self, v: NodeHandle, seq: int) -> tuple:
+        """The walk of port sequence ``PHASES.seqs[seq]`` from ``v``, kept in
+        ``walks``."""
+        g = self.g
+        ports = PHASES.seqs[seq]
+        walked = []
+        cur = v
+        for port in ports:
+            if not g.is_port(cur, port):
+                break
+            step = g.traverse(cur, port)
+            walked.append(step)
+            cur = step.v
+        entries = None
+        if len(walked) == len(ports):
+            entries = tuple(step.in_port for step in reversed(walked))
+        leaf = _leaf(tuple(walked))
+        walk = self.walks[v, seq] = (leaf, _rev(leaf), cur, entries)
         return walk
-
-    def _phase(self, v: NodeHandle, label: int, k: int, quad, root):
-        if label == quad.i:
-            s1, s2, other = quad.s_prime, quad.s_dprime, quad.j
-        elif label == quad.j:
-            s1, s2, other = quad.s_dprime, quad.s_prime, quad.i
-        else:
-            return root
-        walk, back, end, entries = self._walk(v, s1)
-        if s2 == entries:
-            sim = self._ropes(end, other, k - 1)[k - 1]
-            root = _cat(root, walk, sim, back, _rev(root), walk, _rev(sim), back)
-        else:
-            root = _cat(root, walk, back)
-        if root.length > self.limits.step_budget:
-            raise StepBudgetExceeded(
-                f"route for label {label} exceeds {self.limits.step_budget} "
-                f"steps at phase {k}",
-                root.length,
-                k,
-                label,
-            )
-        return root
 
 
 def graph_rv(

@@ -203,9 +203,9 @@ def _leaf(steps: tuple[EdgeTraversal, ...]):
 
 
 def _cat(*nodes):
-    kids = tuple(n for n in nodes if n.length)
+    kids = tuple([n for n in nodes if n.length])
     if len(kids) > 1:
-        return _Cat(kids, sum(n.length for n in kids))
+        return _Cat(kids, sum([n.length for n in kids]))
     return kids[0] if kids else _EMPTY
 
 
@@ -309,7 +309,8 @@ def parse_route_dump(text: str) -> Route:
     Edge identity is reconstructed canonically from the two directed
     endpoints; lengths are not carried by the format and default to 1.
     A line that is neither a comment nor a traversal, or a ``# phase``
-    line other than ``# phase <int>``, is a ``GraphError`` naming its line.
+    line other than ``# phase <k>`` with an int ``k >= 1``, is a
+    ``GraphError`` naming its line.
     """
     one = Fraction(1)
     start = None
@@ -321,8 +322,11 @@ def parse_route_dump(text: str) -> Route:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if parts[:1] == ["phase"]:
-                    _, k = parts  # a ValueError unless one word follows
-                    marks.append((int(k), len(steps)))
+                    _, word = parts  # a ValueError unless one word follows
+                    k = int(word)
+                    if k < 1:
+                        raise ValueError("phases are numbered from 1")
+                    marks.append((k, len(steps)))
                 elif len(parts) > 1 and parts[0] == "start" and start is None:
                     start = line[1:].split(None, 1)[1]  # a node name may hold spaces
             elif line:

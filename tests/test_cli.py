@@ -514,7 +514,7 @@ def test_tunnel_malformed_dump_names_its_line(tmp_path, capsys):
     assert err == f"error: GraphError: {bad}: line 3 is not a route dump line: 'b\\t1\\ta'\n"
 
 
-@pytest.mark.parametrize("marker", ["# phase", "# phase 1 2"])
+@pytest.mark.parametrize("marker", ["# phase", "# phase 1 2", "# phase 0", "# phase -3"])
 def test_tunnel_malformed_phase_marker_exits_two(tmp_path, capsys, marker):
     good = tmp_path / "good.txt"
     bad = tmp_path / "bad.txt"
@@ -551,6 +551,17 @@ def test_enumerate_matches_golden_head(capsys):
 def test_enumerate_rejects_a_start_below_one(capsys, kind):
     assert main(["enumerate", "--kind", kind, "--start", "0"]) == 2
     assert capsys.readouterr().err == "error: ScenarioError: --start must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("kind", ["phi", "zpair"])
+def test_enumerate_an_empty_range_writes_nothing(tmp_path, capsys, kind):
+    assert main(["enumerate", "--kind", kind, "--start", "5", "--end", "3"]) == 0
+    assert capsys.readouterr() == ("", "")
+    out = tmp_path / "out.txt"
+    args = ["enumerate", "--kind", kind, "--start", "5", "--end", "3", "--out", str(out)]
+    assert main(args) == 0
+    assert out.read_bytes() == b""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_run_reports_are_byte_identical(tmp_path):

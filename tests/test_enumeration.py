@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tunnelmeet.enumeration import (
     ENUM_VERSION,
+    PhaseTable,
     Quadruple,
     pair_decode,
     pair_encode,
@@ -129,6 +130,20 @@ def test_phase_stream_matches_phi():
     for (k, q), want in zip(phase_stream(), range(1, 600)):
         assert k == want
         assert phi(k) == q
+
+
+def test_phase_table_matches_phi():
+    table = PhaseTable()
+    table.draw(5_000)
+    assert len(table.i) == len(table.j) == 5_001
+    seqs = table.seqs
+    assert len(set(seqs)) == len(seqs)  # each port sequence interned once
+    for k in range(1, 5_001):
+        q = phi(k)
+        got = (table.i[k], table.j[k], seqs[table.s_prime[k]], seqs[table.s_dprime[k]])
+        assert got == (q.i, q.j, q.s_prime, q.s_dprime)
+    table.draw(10)  # phases already held are not decoded again
+    assert len(table.s_prime) == len(table.s_dprime) == 5_001
 
 
 def test_rational_head_and_injectivity():

@@ -16,8 +16,8 @@ from conftest import (
     random_walk_route,
     true_quadruple,
 )
-from tunnelmeet import rendezvous
-from tunnelmeet.enumeration import Quadruple, phase_stream, phi_index
+from tunnelmeet import enumeration, rendezvous
+from tunnelmeet.enumeration import Quadruple, phi_index
 from tunnelmeet.graph_model import generator, random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
 from tunnelmeet.routes import (
@@ -541,20 +541,24 @@ def test_one_builder_for_both_agents(seed):
     "g,start,cap", [(c4(), "a", 60), (random_connected_graph(5, 3), "n0", 200)]
 )
 def test_no_phase_is_replayed(monkeypatch, g, start, cap):
-    # one phase_stream per graph_rv call, drawn once per phase; the budget
-    # never fires, so the recursion goes as far as asked
-    draws = []
+    # a fresh phase table for the process decodes each phase once, however
+    # many builders and graph_rv calls read it; the budget never fires, so
+    # the recursion goes as far as asked
+    drawn = []
+    phases = enumeration._phases
 
     def counted():
-        draws.append(0)
-        for item in phase_stream():
-            draws[-1] += 1
+        for item in phases():
+            drawn.append(item[0])
             yield item
 
-    monkeypatch.setattr(rendezvous, "phase_stream", counted)
+    monkeypatch.setattr(enumeration, "_phases", counted)
+    monkeypatch.setattr(rendezvous, "PHASES", enumeration.PhaseTable())
     limits = Limits(cap, step_budget=10**30)
-    graph_rv(g, start, 1, limits)
-    assert draws == [cap]
+    for label in (1, 2):
+        RouteBuilder(g, limits).route(start, label)
+        graph_rv(g, start, label, Limits(cap // 2, step_budget=10**30))
+    assert drawn == list(range(1, cap + 1))
     # no (start, ports) walk is taken twice in one builder
     traversed = []
     traverse = type(g).traverse
@@ -576,7 +580,19 @@ def test_no_phase_is_replayed(monkeypatch, g, start, cap):
     builder = RouteBuilder(g, limits)
     builder.route(start, 1)
     assert traversed
-    assert len(traversed) == sum(walked(v, ports) for v, ports in builder.walks)
+    seqs = rendezvous.PHASES.seqs
+    assert len(traversed) == sum(walked(v, seqs[seq]) for v, seq in builder.walks)
+
+
+def test_a_run_over_budget_decodes_no_phase_past_its_crossing(monkeypatch):
+    # the table grows as runs reach phases: a run stopped by the budget at
+    # phase 4 of a 100,000-phase cap leaves phases 1-4 decoded
+    table = enumeration.PhaseTable()
+    monkeypatch.setattr(rendezvous, "PHASES", table)
+    with pytest.raises(StepBudgetExceeded) as info:
+        graph_rv(k2(), "A", 1, Limits(100_000, 10))
+    assert info.value.phase == 4
+    assert len(table.i) - 1 == 4
 
 
 def _rope_nodes(*roots):

@@ -87,9 +87,12 @@ def test_dump_and_parse_round_trip():
     assert dump_route(back) == text
 
 
-@pytest.mark.parametrize("marker", ["# phase", "# phase 1 2", "# phase x", "#phase 1.5"])
+@pytest.mark.parametrize(
+    "marker", ["# phase", "# phase 1 2", "# phase x", "#phase 1.5", "# phase 0", "# phase -3"]
+)
 def test_malformed_phase_marker_names_its_line(marker):
-    # a comment whose first word is "phase" must be "# phase <int>"
+    # a comment whose first word is "phase" must be "# phase <k>", with an
+    # int k >= 1: phases are numbered from 1
     text = f"# start A\n{marker}\nA\t1\tB\t1\n"
     with pytest.raises(GraphError) as info:
         parse_route_dump(text)
