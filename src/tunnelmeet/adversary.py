@@ -10,8 +10,11 @@ Meetings are decided exactly: the two schedules' breakpoints and the
 route step boundaries cut time into cells inside which both positions
 are affine, so the earliest coincidence is the root of a linear system.
 Graph meetings count a shared node or a shared point inside an
-undirected edge; planar verdicts additionally carry the exact minimum of
-the squared distance over the horizon.
+undirected edge.  A piece stays inside one step, so an agent is on a
+node only at a piece end: agents on different edges can meet only at a
+cell's ends, and only agents on one edge need the linear solve.  Planar
+verdicts additionally carry the exact minimum of the squared distance
+over the horizon.
 
 The sweep runs on an integer lattice.  Let D be the lcm of the
 step-length denominators of both routes (1 on a terrain, whose steps
@@ -332,27 +335,10 @@ def _graph_cell(p1: _GraphPiece, p2: _GraphPiece, c0, c1):
         if c0 * k <= -e <= c1 * k:
             return -e, k, p1, p1.base * k - p1.slope * e, k * d1
         return None
-    # Different edges: a mid-cell meeting needs one agent parked exactly
-    # on a node of the other's edge (a moving affine offset touches a
-    # node value only at cell boundaries, which the c0 check covers).
-    for parked, n, d, moving in ((p1, n1, d1, p2), (p2, n2, d2, p1)):
-        if parked.slope != 0 or moving.slope == 0:
-            continue
-        node = parked.node_at(n, d)
-        if node == moving.node_lo:
-            target = 0
-        elif node == moving.node_hi:
-            target = moving.length
-        else:
-            continue
-        # slope * t + base = target * dur
-        k, tn = moving.slope, target * moving.dur - moving.base
-        if k < 0:
-            k, tn = -k, -tn
-        if c0 * k <= tn <= c1 * k:
-            return tn, k, parked, n, d
-    # both moving onto a shared node exactly at the cell end (relevant at
-    # the horizon's final instant; interior cell ends re-check as next c0)
+    # Different edges meet only at a node.  An affine piece inside its step
+    # is on a node throughout (parked) or only at its ends, so such a
+    # meeting is at c0 (checked above) or at c1, which the next cell
+    # re-checks as its c0 except at the horizon's final instant.
     n1 = p1.slope * c1 + p1.base
     if _same_point(p1, n1, d1, p2, p2.slope * c1 + p2.base, d2):
         return c1, 1, p1, n1, d1
@@ -363,17 +349,15 @@ def _sweep(pieces1, pieces2, cell_fn):
     """Merge two contiguous piece streams; run cell_fn over refined cells.
 
     Returns the first non-None cell result; the horizon is the earlier
-    stream end.
+    stream end.  Both streams start at time 0 and are contiguous
+    (``_checked_pieces``), so every merged cell is non-empty.
     """
     p1 = next(pieces1, None)
     p2 = next(pieces2, None)
     while p1 is not None and p2 is not None:
-        t0 = max(p1.t0, p2.t0)
-        t1 = min(p1.t1, p2.t1)
-        if t0 <= t1:
-            hit = cell_fn(p1, p2, t0, t1)
-            if hit is not None:
-                return hit
+        hit = cell_fn(p1, p2, max(p1.t0, p2.t0), min(p1.t1, p2.t1))
+        if hit is not None:
+            return hit
         if p1.t1 <= p2.t1:
             p1 = next(pieces1, None)
         else:

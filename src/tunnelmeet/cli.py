@@ -228,22 +228,16 @@ def _routes(sc: Scenario, agents) -> list:
     return [builder.route(start, label) for start, label in zip(starts, labels)]
 
 
-def _frac_str(x: Fraction) -> str:
-    return format_rational(Fraction(x))
-
-
 def _location_json(loc, use_float: bool):
-    if loc is None:
-        return None
-    if isinstance(loc, tuple) and loc and loc[0] == "node":
+    if loc[0] == "node":
         return {"kind": "node", "node": str(loc[1])}
-    if isinstance(loc, tuple) and loc and loc[0] == "edge":
-        out = {"kind": "edge", "edge": str(loc[1]), "offset": _frac_str(loc[2])}
+    if loc[0] == "edge":
+        out = {"kind": "edge", "edge": str(loc[1]), "offset": format_rational(loc[2])}
         if use_float:
             out["offset_float"] = float(loc[2])
         return out
     x, y = loc
-    out = {"kind": "point", "x": _frac_str(x), "y": _frac_str(y)}
+    out = {"kind": "point", "x": format_rational(x), "y": format_rational(y)}
     if use_float:
         out["x_float"] = float(x)
         out["y_float"] = float(y)
@@ -253,12 +247,12 @@ def _location_json(loc, use_float: bool):
 def _verdict_json(v: MeetingVerdict, use_float: bool) -> dict:
     out: dict = {"met": v.met}
     if v.met:
-        out["time"] = _frac_str(v.time)
+        out["time"] = format_rational(v.time)
         if use_float:
             out["time_float"] = float(v.time)
         out["location"] = _location_json(v.location, use_float)
     if v.min_distance_sq is not None:
-        out["min_distance_sq"] = _frac_str(v.min_distance_sq)
+        out["min_distance_sq"] = format_rational(v.min_distance_sq)
         if use_float:
             out["min_distance_float"] = float(v.min_distance_sq) ** 0.5
     return out
@@ -285,9 +279,9 @@ def _report_json(sc: Scenario, report, use_float: bool) -> dict:
         "vacuous": report["vacuous"],
     }
     if sc.epsilon is not None:
-        out["epsilon"] = _frac_str(report["epsilon"])
+        out["epsilon"] = format_rational(report["epsilon"])
         worst = report["worst_min_distance_sq"]
-        out["worst_min_distance_sq"] = None if worst is None else _frac_str(worst)
+        out["worst_min_distance_sq"] = None if worst is None else format_rational(worst)
         out["within_epsilon"] = report["within_epsilon"]
         if use_float and worst is not None:
             out["worst_min_distance_float"] = float(worst) ** 0.5
@@ -324,9 +318,9 @@ def cmd_route(args) -> int:
     (route,) = _routes(sc, (args.agent,))
     if sc.kind == "terrain":
         text = dump_lines(
-            f"start\t{_frac_str(route.start[0])}\t{_frac_str(route.start[1])}",
+            f"start\t{format_rational(route.start[0])}\t{format_rational(route.start[1])}",
             (
-                f"{_frac_str(seg.end[0])}\t{_frac_str(seg.end[1])}\t{seg.kind}"
+                f"{format_rational(seg.end[0])}\t{format_rational(seg.end[1])}\t{seg.kind}"
                 for seg in route.segments()
             ),
             route.phase_marks,

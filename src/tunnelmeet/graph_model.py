@@ -65,8 +65,12 @@ def is_list(value) -> bool:
 
 
 def is_node_name(value) -> bool:
-    """Finite-graph node names are strings or ints (not bools)."""
-    return isinstance(value, str) or type(value) is int
+    """Finite-graph node names are ints (not bools) or strings that a route
+    dump line can carry: one line, no tab or outer whitespace, no ``#`` first."""
+    if isinstance(value, str):
+        one_line = value.splitlines() == [value]  # not empty, no line break
+        return one_line and value == value.strip() and "\t" not in value and value[0] != "#"
+    return type(value) is int
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def build_finite_graph(spec: dict) -> FiniteGraph:
     nodes = list(check_field(spec.get("nodes"), "nodes", "a list of node names", is_list))
     for n, name in enumerate(nodes):
         check_field(name, f"nodes[{n}]", "a node name", is_node_name)
-    if len(set(nodes)) != len(nodes):
+    if len(set(map(str, nodes))) != len(nodes):  # a route dump writes str(name)
         raise GraphError("duplicate node names")
     node_set = set(nodes)
     adj: dict = {v: {} for v in nodes}
@@ -209,7 +213,7 @@ def parse_rational(value) -> Fraction:
     raise GraphError(f"not an exact rational: {value!r}")
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 

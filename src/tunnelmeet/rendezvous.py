@@ -25,9 +25,10 @@ sufficient condition for rendezvous under any adversary schedules.
 ``tunnel_check`` decides that relation exactly as a border problem over
 interned directed steps: the smallest ``n`` for which route one's first
 ``n`` steps equal route two's first ``n`` steps reversed, read in windows
-of 64, 256, 1024, ... steps.  Each window is decoded into two ``str``s
-and searched with ``str.find`` in C; a window whose search needs more than
-a few exact candidate checks (periodic input) is finished by
+of 64, 256, 1024, ... steps.  Each window is decoded into two ``str``s,
+one code point per step id, and searched with ``str.find`` in C; a
+window whose search needs more than a few exact candidate checks
+(periodic input), or whose ids do not decode, is finished by
 Knuth-Morris-Pratt, so the scan stays linear.
 """
 
@@ -42,7 +43,6 @@ from .graph_model import NodeHandle, PortLabeledGraph
 from .routes import (
     Route,
     StepBudgetExceeded,
-    _EndIds,
     _StepIds,
     _cat,
     _leaf,
@@ -202,7 +202,7 @@ def tunnel_check(r1: Route, r2: Route) -> TunnelCertificate | None:
     string search in C) or, when that gives up, by ``_kmp``; see
     ``_smallest_tunnel``.
     """
-    table = _EndIds()
+    table: dict = {}
     one, two = _StepIds(r1, table), _StepIds(r2, table, in_end=True)
 
     def fill(m: int) -> None:
@@ -240,8 +240,8 @@ def _smallest_tunnel(x: array, z: array, limit: int, fill) -> int:
 
 def _search(x: array, z: array, lo: int, m: int) -> int | None:
     """The window's smallest tunnel ``n`` in ``(lo, m]``, 0 if it has none,
-    or None when ``_CHECKS`` exact checks did not settle it or the ids do
-    not decode (see ``_EndIds``).
+    or None when ``_CHECKS`` exact checks did not settle it or an id is
+    0x110000 or more (each id decodes as its code point, surrogates too).
 
     With ``R = x[m-1::-1]`` and ``Z = z[:m]`` as ``str``, a tunnel ``n`` is
     ``Z[:n] == R[m-n:]``, route one's first ``n`` steps reversed.  No
@@ -252,8 +252,8 @@ def _search(x: array, z: array, lo: int, m: int) -> int | None:
     """
     try:
         with memoryview(x) as xs, memoryview(z) as zs:
-            R = str(xs[:m], _UTF32)[::-1]
-            Z = str(zs[:m], _UTF32)
+            R = str(xs[:m], _UTF32, "surrogatepass")[::-1]
+            Z = str(zs[:m], _UTF32, "surrogatepass")
     except UnicodeDecodeError:
         return None
     head = R[m - lo - 1 :]

@@ -217,32 +217,19 @@ def _rev(node):
     return _Rev(node)
 
 
-class _EndIds(dict):
-    """Interns step ends as the ids 0, 1, 2, ..., skipping the UTF-16
-    surrogate block 0xD800-0xDFFF, so that an id array decodes as UTF-32
-    text in C while its ids stay below 0x110000 (1,112,064 ends)."""
-
-    def __missing__(self, end) -> int:
-        i = len(self)
-        if i >= 0xD800:
-            i += 0x800
-        self[end] = i
-        return i
-
-
 class _StepIds:
     """One end of each step of a route, as interned ints read off the rope.
 
     ``ids[i]`` is the id of step i's ``(u, out_port)``, or of its
-    ``(v, in_port)`` when ``in_end`` is set; ``table``, an ``_EndIds``,
-    interns the ends and is shared by the routes being compared.  ``ids``
-    grows on demand by ``fill``.  Each rope node is expanded at most once
-    per orientation: a ``(node, reversed)`` pair met again is a slice copy
-    of where it was first written.  Python work is O(DAG nodes) plus the
-    leaves' steps.
+    ``(v, in_port)`` when ``in_end`` is set; ``table`` interns the ends as
+    the ids 0, 1, 2, ... in the order first read, and is shared by the
+    routes being compared.  ``ids`` grows on demand by ``fill``.  Each rope
+    node is expanded at most once per orientation: a ``(node, reversed)``
+    pair met again is a slice copy of where it was first written.  Python
+    work is O(DAG nodes) plus the leaves' steps.
     """
 
-    def __init__(self, route: Route, table: _EndIds, in_end: bool = False):
+    def __init__(self, route: Route, table: dict, in_end: bool = False):
         self.ids = array("i")
         self._table = table
         # a reversed step's (u, out_port) is the step's (v, in_port), so a
@@ -270,7 +257,7 @@ class _StepIds:
             else:
                 end = self._ends[rev]
                 steps = reversed(node.steps) if rev else node.steps
-                ids.extend([table[end(s)] for s in steps])
+                ids.extend([table.setdefault(e, len(table)) for e in map(end, steps)])
 
 
 # Text dump -----------------------------------------------------------------
@@ -308,9 +295,11 @@ def parse_route_dump(text: str) -> Route:
 
     Edge identity is reconstructed canonically from the two directed
     endpoints; lengths are not carried by the format and default to 1.
-    A line that is neither a comment nor a traversal, or a ``# phase``
-    line other than ``# phase <k>`` with an int ``k >= 1``, is a
-    ``GraphError`` naming its line.
+    The start is named by the first ``# start`` line before the first
+    step, or else is that step's ``u``.  A line that is neither a comment
+    nor a traversal, a ``# phase`` line other than ``# phase <k>`` with an
+    int ``k >= 1``, or a step that does not leave the node the route is
+    at, is a ``GraphError`` naming its line.
     """
     one = Fraction(1)
     start = None
@@ -332,14 +321,14 @@ def parse_route_dump(text: str) -> Route:
             elif line:
                 u, out_p, v, in_p = line.split("\t")
                 out_p, in_p = int(out_p), int(in_p)
+                start = u if start is None else start
+                at = steps[-1].v if steps else start
+                if u != at:
+                    raise GraphError(f"line {number} does not chain from {at!r}: {raw!r}")
                 a, b = (u, out_p), (v, in_p)
                 steps.append(EdgeTraversal(u, out_p, v, in_p, (min(a, b), max(a, b)), one))
         except ValueError:
             raise GraphError(f"line {number} is not a route dump line: {raw!r}") from None
     if start is None:
-        if not steps:
-            raise GraphError("empty dump needs an explicit start node")
-        start = steps[0].u
-    r = route_from_steps(start, steps)
-    r.phase_marks = marks
-    return r
+        raise GraphError("empty dump needs an explicit start node")
+    return Route(start, _leaf(tuple(steps)), marks)

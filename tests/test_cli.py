@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from tunnelmeet.adversary import DEFAULT_SUITE
 from tunnelmeet.cli import main
-from tunnelmeet.graph_model import random_connected_graph
-from tunnelmeet.rendezvous import Limits, graph_rv
-from tunnelmeet.routes import StepBudgetExceeded, dump_route
+from tunnelmeet.graph_model import load_graph_json, random_connected_graph
+from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
+from tunnelmeet.routes import StepBudgetExceeded, dump_route, parse_route_dump
 
 SCENARIOS = resources.files("tunnelmeet") / "scenarios"
 
@@ -259,6 +259,18 @@ _MALFORMED = [  # (doc, the field named before "must be"); ids as before
     (_edited("line", ("world", "unit_length"), 0), "world.unit_length"),
     (_edited("line", ("world", "unit_length"), "-1"), "world.unit_length"),
     (_edited("line", ("world", "unit_length"), "1/0"), "world.unit_length"),
+]
+# node names a route dump line cannot carry: a comment, an empty field, a
+# tab or line break inside, whitespace outside
+_UNDUMPABLE = ["#B", "", "B\tC", "B\nC", "B\u2028C", "B\x1cC", " B", "B "]
+_MALFORMED += [
+    (_edited("k2", keys, name), field)
+    for name in _UNDUMPABLE
+    for keys, field in (
+        (("world", "graph", "nodes", 1), "world.graph.nodes[1]"),
+        (("world", "graph", "edges", 0, "v"), "world.graph.edges[0].v"),
+        (("agents", 1, "start"), "agents[1].start"),
+    )
 ]
 _NOT_INTERIOR = [  # (doc, the field and the start named before "is not interior")
     (_edited("square", ("agents", 1, "start"), ["3/2", "1/2"]), 'agents[1].start ["3/2", "1/2"]'),
@@ -514,6 +526,92 @@ def test_tunnel_malformed_dump_names_its_line(tmp_path, capsys):
     assert err == f"error: GraphError: {bad}: line 3 is not a route dump line: 'b\\t1\\ta'\n"
 
 
+def test_tunnel_unchained_dump_names_its_line(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "bad.txt"
+    good.write_text("# start A\nA\t1\tB\t1\n", encoding="utf-8")
+    bad.write_text("# start B\nA\t1\tB\t1\n", encoding="utf-8")
+    assert main(["tunnel", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: GraphError: {bad}: line 2 does not chain from 'B': 'A\\t1\\tB\\t1'\n"
+    )
+
+
+def _graph_scenario(nodes, edges, starts):
+    """A two-agent ``scenario-v1`` on a ``graph-v1`` world, at phase cap 6."""
+    return {
+        "schema": "scenario-v1",
+        "world": {
+            "kind": "graph",
+            "graph": {"schema": "graph-v1", "nodes": nodes, "edges": edges},
+        },
+        "agents": [{"label": 1, "start": starts[0]}, {"label": 2, "start": starts[1]}],
+        "limits": {"phase_cap": 6},
+    }
+
+
+def _edge(u, pu, v, pv, length=1):
+    return {"u": u, "pu": pu, "v": v, "pv": pv, "len": length}
+
+
+@pytest.mark.parametrize(
+    "nodes,edges,err",
+    [
+        (["A", "A"], [_edge("A", 1, "B", 1)], "GraphError: duplicate node names"),
+        (["A", "1", 1], [_edge("A", 1, "B", 1)], "GraphError: duplicate node names"),
+        (["A", "B"], [_edge("A", 1, "B", 1, "0")], "GraphError: edge 0: non-positive length"),
+        (["A", "B"], [_edge("A", 1, "B", 1, "-1/2")], "GraphError: edge 0: non-positive length"),
+        (["A", "B"], [_edge("A", 0, "B", 1)], "GraphError: edge 0: ports must be positive"),
+        (["A", "B"], [_edge("A", 1, "B", -1)], "GraphError: edge 0: ports must be positive"),
+        (
+            ["A", "B"],
+            [_edge("A", 1, "B", 1), _edge("B", 2, "B", 3)],
+            "GraphError: edge 1: self-loops are not supported",
+        ),
+        (
+            ["A", "B"],
+            [_edge("A", 1, "B", 1), _edge("A", 2, "B", 1)],
+            "DuplicatePort: port 1 reused at node 'B'",
+        ),
+    ],
+)
+def test_run_rejects_each_graph_fault(tmp_path, capsys, nodes, edges, err):
+    doc = _graph_scenario(nodes, edges, ["A", "B"])
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_route_dumps_carry_every_accepted_node_name(tmp_path, capsys):
+    # inner spaces, non-ASCII, a "#" past the first character and ints: a
+    # dump names each node as str() does, and tunnel reads both dumps to
+    # the n of the routes themselves
+    nodes = ["a b", "Ωß", 7, "x#y"]
+    edges = [_edge("a b", 1, "Ωß", 1), _edge("Ωß", 2, 7, 1), _edge(7, 2, "x#y", 1)]
+    edges.append(_edge("x#y", 2, "a b", 2, "1/2"))
+    doc = _graph_scenario(nodes, edges, nodes[:2])
+    path = write_scenario(tmp_path, doc)
+    builder = RouteBuilder(load_graph_json(doc["world"]["graph"]), Limits(6))
+    routes = [builder.route(nodes[0], 1), builder.route(nodes[1], 2)]
+    dumps = []
+    for agent, route in enumerate(routes):
+        out = tmp_path / f"route{agent}.txt"
+        assert main(["route", path, "--agent", str(agent), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        back = parse_route_dump(text)
+        assert dump_route(back) == text
+        assert [(s.u, s.out_port, s.v, s.in_port) for s in back.steps()] == [
+            (str(s.u), s.out_port, str(s.v), s.in_port) for s in route.steps()
+        ]
+        dumps.append(str(out))
+    cert = tunnel_check(*routes)
+    assert cert is not None
+    capsys.readouterr()
+    assert main(["tunnel", *dumps]) == 0
+    assert capsys.readouterr().out == f"tunnel n={cert.n}\n"
+
+
 @pytest.mark.parametrize("marker", ["# phase", "# phase 1 2", "# phase 0", "# phase -3"])
 def test_tunnel_malformed_phase_marker_exits_two(tmp_path, capsys, marker):
     good = tmp_path / "good.txt"
@@ -641,12 +739,44 @@ def test_seed_flag_overrides_scenario_seeds(tmp_path):
     assert {c["seed"] for c in doc["cells"]} == {7}
 
 
+# the decimal fields each scenario's report must carry under --float
+_FLOAT_FIELDS = {
+    "k2": {"time_float"},
+    "square": {"time_float", "x_float", "y_float", "min_distance_float"},
+    "approx": {"min_distance_float", "worst_min_distance_float"},
+}
+
+
 def test_float_flag_adds_decimals(tmp_path):
-    out = tmp_path / "verdict.json"
-    assert main(["run", scenario_path("k2"), "--float", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    met_cell = doc["cells"][0]
-    assert "time_float" in met_cell
+    for name, fields in _FLOAT_FIELDS.items():
+        _check_float_fields(tmp_path, name, fields)
+
+
+def _check_float_fields(tmp_path, name, fields):
+    """--float adds the decimal of each exact field (a distance's from its
+    square), at least ``fields`` among them, and changes nothing else."""
+    reports = []
+    for flags in ([], ["--float"]):
+        out = tmp_path / "verdict.json"
+        assert main(["run", scenario_path(name), *flags, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    exact, decimal = reports
+    want = dict(exact, cells=[])
+    for cell in exact["cells"]:
+        cell = dict(cell)
+        if cell["met"]:
+            cell["time_float"] = float(Fraction(cell["time"]))
+            loc = cell["location"] = dict(cell["location"])
+            for field in {"point": ("x", "y"), "edge": ("offset",)}.get(loc["kind"], ()):
+                loc[f"{field}_float"] = float(Fraction(loc[field]))
+        if "min_distance_sq" in cell:
+            cell["min_distance_float"] = float(Fraction(cell["min_distance_sq"])) ** 0.5
+        want["cells"].append(cell)
+    if exact.get("worst_min_distance_sq") is not None:
+        want["worst_min_distance_float"] = float(Fraction(exact["worst_min_distance_sq"])) ** 0.5
+    assert decimal == want
+    seen = set(decimal) | {k for c in decimal["cells"] for k in (*c, *c.get("location", ()))}
+    assert fields <= seen, name
 
 
 # SHA-256 of the planar route dumps and of the default-seed verdict

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 from importlib import resources
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from tunnelmeet import geometry
 from tunnelmeet.adversary import epsilon_verdict, verify_rendezvous
 from tunnelmeet.enumeration import rational_pair, rational_pair_index
 from tunnelmeet.geometry import (
+    PlanarSegment,
     StartNotInterior,
     Terrain,
     TerrainError,
@@ -359,6 +361,67 @@ def test_geometric_route_bounces_and_stays_inside():
     audit_planar_route(sq, r)
     kinds = {seg.kind for seg in r.segments()}
     assert "bounce_out" in kinds  # the quarter-step west leaves the square
+
+
+class _Tampered(NamedTuple):
+    """All that ``audit_planar_route`` reads of a route: its start and its
+    segments."""
+
+    start: tuple
+    segs: list
+
+    def segments(self):
+        return iter(self.segs)
+
+
+def _tampered_routes():
+    """(terrain, route, message): one fault per route.  Each is the square
+    route of the test above, edited at its first bounce, except for the
+    free segment across the hole of ``square_with_hole``."""
+    sq = unit_square()
+    r = geometric_rv(sq, (F(3, 16), F(1, 2)), 1, Limits(4))
+    segs = list(r.segments())
+    b = next(i for i, seg in enumerate(segs) if seg.kind == "bounce_out")
+    head, out = segs[:b], segs[b]
+    outside, west = (F(2), F(1, 2)), (F(1, 4), F(1, 2))
+    return [
+        (sq, _Tampered((F(0), F(1, 2)), segs), "route start is not interior"),
+        (
+            sq,
+            _Tampered(r.start, head + [out._replace(end=(F(1, 2), F(1, 2)))]),
+            "bounce endpoint is not on the boundary",
+        ),
+        (
+            sq,
+            _Tampered(r.start, head + [PlanarSegment(out.start, outside, "free")]),
+            f"free endpoint {outside} is not interior",
+        ),
+        (
+            square_with_hole(),
+            _Tampered(west, [PlanarSegment(west, (F(3, 4), F(1, 2)), "free")]),
+            "free segment touches the boundary",
+        ),
+        (sq, _Tampered(r.start, head + segs[b + 1 :]), "segments do not chain"),
+        (
+            sq,
+            _Tampered(r.start, head + [out, PlanarSegment(out.end, out.start, "free")]),
+            "boundary hit not followed by its reverse",
+        ),
+        (
+            sq,
+            _Tampered(r.start, head + [out._replace(kind="bounce_back")]),
+            "bounce_back without a preceding hit",
+        ),
+        (sq, _Tampered(r.start, head + [out]), "route ends mid-bounce"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_audit_rejects_each_tampered_route(case):
+    t, route, message = _tampered_routes()[case]
+    with pytest.raises(TerrainError) as info:
+        audit_planar_route(t, route)
+    assert str(info.value) == message
 
 
 def test_rational_path_examples():

@@ -456,6 +456,22 @@ def test_ids_past_the_surrogate_block_stay_on_the_string_search(monkeypatch):
     assert [cert.n for cert in _on_both_paths(lambda: tunnel_check(r1, r2))] == [n] * 3
 
 
+def test_ids_past_the_last_code_point_fall_back_to_kmp(monkeypatch):
+    # ids 0xD800 + i are surrogates, which decode; ids 0x110000 + i, at
+    # steps 300-399 of route one, are past the last code point and do not.
+    # The one tunnel is n = 700, and route two's first 256 steps are route
+    # one's steps 699 down to 444, so the windows of 64 and 256 steps
+    # decode and the last window, of 1,000, is finished by KMP
+    x = array("i", [0x110000 + i if 300 <= i < 400 else 0xD800 + i for i in range(1000)])
+    n = 700
+    z = x[n - 1 :: -1] + array("i", [0] * 300)
+    windows = _counted_windows(monkeypatch)
+    assert _ids_tunnel(x, z, len(x)) == n
+    assert [gave_up for _, gave_up in windows] == [False, False, True]
+    monkeypatch.undo()
+    assert _on_both_paths(lambda: _ids_tunnel(x, z, len(x))) == [n] * 3
+
+
 def test_infinite_worlds_build_and_certify_routes():
     # every instance at its true phase and the 10^7 budget; the split is
     # pinned as found, with no start or label chosen to make more fit

@@ -1,6 +1,4 @@
 import random
-import sys
-from array import array
 from operator import attrgetter
 
 import pytest
@@ -9,7 +7,6 @@ from conftest import k2, random_walk_route
 from tunnelmeet.graph_model import GraphError, random_connected_graph
 from tunnelmeet.routes import (
     Route,
-    _EndIds,
     _StepIds,
     concat_routes,
     dump_route,
@@ -112,6 +109,32 @@ def test_empty_dump_keeps_start():
         assert back.length == 0
 
 
+def test_dump_without_a_start_line():
+    # the route starts at its first step; with no step there is no start
+    back = parse_route_dump("A\t1\tB\t1\n# phase 1\nB\t1\tA\t1\n")
+    assert (back.start, back.length, back.end, back.phase_marks) == ("A", 2, "A", [(1, 1)])
+    for text in ("", "# phase 1\n", "# a comment\n"):
+        with pytest.raises(GraphError, match="^empty dump needs an explicit start node$"):
+            parse_route_dump(text)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("# start B\nA\t1\tB\t1\n", "line 2 does not chain from 'B': 'A\\t1\\tB\\t1'"),
+        ("A\t1\tB\t1\n\nA\t1\tB\t1\n", "line 3 does not chain from 'B': 'A\\t1\\tB\\t1'"),
+        (
+            "# start A\n# phase 1\nA\t1\tB\t1\nB\t1\tA\t1\nB\t1\tA\t1\n",
+            "line 5 does not chain from 'A': 'B\\t1\\tA\\t1'",
+        ),
+    ],
+)
+def test_unchained_dump_names_its_line(text, line):
+    with pytest.raises(GraphError) as info:
+        parse_route_dump(text)
+    assert str(info.value) == line
+
+
 def test_deeply_nested_reversal():
     # a reversal of a reversal unwraps it, so 5,000 reversals leave the
     # leaf itself and each one costs O(1)
@@ -137,7 +160,7 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
         b = random_walk_route(g, a.end, rng.randint(1, 40), rng)
         h = concat_routes(a, b)
         r = concat_routes(h, reverse_route(h), h, reverse_route(b), b, reverse_route(h))
-        table = _EndIds()
+        table = {}
         outs, ins = _StepIds(r, table), _StepIds(r, table, in_end=True)
         steps = list(r.steps())
         out_end, in_end = attrgetter("u", "out_port"), attrgetter("v", "in_port")
@@ -150,14 +173,6 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
                 assert have >= min(n, r.length)
                 assert list(got.ids) == [table[end(s)] for s in steps[:have]]
         assert len(outs.ids) == len(ins.ids) == r.length
-
-
-def test_end_ids_skip_the_surrogate_block():
-    # ids count up from 0 and jump from 0xD7FF to 0xE000, so an id array
-    # decodes as UTF-32 text
-    table = _EndIds()
-    ids = [table[k] for k in range(0xD800 + 3)]
-    assert ids[:0xD800] == list(range(0xD800))
-    assert ids[0xD800:] == [0xE000, 0xE001, 0xE002]
-    assert [table[k] for k in (0, 0xD7FF, 0xD800)] == [0, 0xD7FF, 0xE000]  # interned once
-    assert str(array("i", ids), f"utf-32-{sys.byteorder[0]}e")[-1] == "\ue002"
+        # each end is interned once, as the ids 0, 1, 2, ...
+        assert sorted(table.values()) == list(range(len(table)))
+        assert len(table) == len({end(s) for s in steps for end in (out_end, in_end)})
