@@ -31,9 +31,9 @@ decided by integer sign tests and cross-multiplication, and
 ``min_distance_sq``.
 
 Oracles that the verdict path does not call, kept so that tests can
-check the sweep independently: ``WalkSchedule.pieces``, ``position_at``,
-``breakpoints`` and ``end_time`` (the schedule read in ``Fraction``s,
-which the fine-grid numpy sampler uses), ``graph_point_at`` and
+check the sweep independently: ``position_at``, ``breakpoints`` and
+``end_time`` (the schedule read in ``Fraction``s at the route's own
+scale, which the fine-grid numpy sampler uses), ``graph_point_at`` and
 ``planar_point_at`` (positions by arc length), and ``validate_schedule``
 (the streaming checker run to the end, plus coverage).
 """
@@ -81,7 +81,7 @@ class WalkSchedule:
     a1)`` says that during ``[t0, t1]`` the arc position moves affinely
     from ``a0`` to ``a1``, staying within step ``step_index``.  Pieces are
     generated lazily, on the lattice of the module docstring, by
-    ``lattice_pieces``; ``pieces()`` is their ``Fraction`` view.
+    ``lattice_pieces``; ``breakpoints()`` is their ``Fraction`` view.
     """
 
     route: object
@@ -136,24 +136,20 @@ class WalkSchedule:
         if step is None:  # a route without steps: parked at its start
             yield 0, hold, 0, 0, 0, None, 0, 0
 
-    def pieces(self) -> Iterator[tuple]:
-        """``(t0, t1, step_index, a0, a1)`` in ``Fraction``s, read off
-        ``lattice_pieces`` at the route's own scale."""
-        t, a = _lattice((self.route, self))
-        for t0, t1, m, a0, a1, _, _, _ in self.lattice_pieces(t, a):
-            yield Fraction(t0, t), Fraction(t1, t), m, Fraction(a0, a), Fraction(a1, a)
-
     def breakpoints(self) -> list[tuple[Fraction, Fraction]]:
-        """Explicit (time, arc position) breakpoints (materializes)."""
-        out: list[tuple[Fraction, Fraction]] = []
-        for t0, t1, _, a0, a1 in self.pieces():
+        """Explicit (time, arc position) breakpoints (materializes), read
+        off ``lattice_pieces`` at the route's own scale."""
+        tscale, ascale = _lattice((self.route, self))
+        out = []
+        for t0, t1, _, a0, a1, _, _, _ in self.lattice_pieces(tscale, ascale):
             if not out:
-                out.append((t0, a0))
-            out.append((t1, a1))
+                out.append((Fraction(t0, tscale), Fraction(a0, ascale)))
+            out.append((Fraction(t1, tscale), Fraction(a1, ascale)))
         return out
 
     def end_time(self) -> Fraction:
-        return max((t1 for _, t1, _, _, _ in self.pieces()), default=Fraction(0))
+        """Time of the last breakpoint: a schedule's time never decreases."""
+        return self.breakpoints()[-1][0]
 
     def position_at(self, t: Fraction) -> Fraction:
         """Arc position at time t (exact), read off ``lattice_pieces`` at

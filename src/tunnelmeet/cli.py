@@ -33,7 +33,7 @@ from .graph_model import (
     generator_origin,
     is_node_name,
     load_graph_json,
-    parse_rational,
+    rational_field,
 )
 from .rendezvous import DEFAULT_STEP_BUDGET, Limits, RouteBuilder, tunnel_check
 from .routes import StepBudgetExceeded, dump_lines, dump_route, parse_route_dump
@@ -86,10 +86,12 @@ def _check(value, path: str, shape: str, fits):
 
 
 def _rational(value, field: str) -> Fraction:
+    """``rational_field`` for a scenario field: a value that is not an
+    exact rational is a ``ScenarioError`` naming ``field``."""
     try:
-        return parse_rational(value)
-    except GraphError:
-        raise ScenarioError(f"{field} must be an exact rational, got {value!r}") from None
+        return rational_field(value, field)
+    except MalformedField as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _is_int(x) -> bool:

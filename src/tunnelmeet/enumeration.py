@@ -28,15 +28,13 @@ acceptance tests check the bijections with them, and ``phi_index`` names
 the phase at which a world's true hypothesis comes up.
 
 The order within a weight class is written once, in ``_blocks``, and
-``phi``, ``phi_index`` and ``_phases`` all walk it; ``_phases`` is the one
-decoder of the stream, read by ``phase_stream`` and ``PhaseTable``.
-Module-level caches hold only pure functions of small ints, never world
-data: label pairs per budget (``_label_pairs``), one class start per
-weight (``_CLASS_STARTS``), the composition tuples ``_phases`` reads
-(``_compositions``) and the phases decoded so far (``PHASES``), each
-drawn once per process as runs reach it.  Blocks are not cached: heavy
-round trips reach weights near 200, where caching each block costs tens
-of MiB.
+both ``phi`` and ``phi_index`` walk it; ``phi`` is the one decoder, and
+``PhaseTable`` reads it once per phase.  Module-level caches hold only
+pure functions of small ints, never world data: label pairs per budget
+(``_label_pairs``), one class start per weight (``_CLASS_STARTS``) and
+the phases decoded so far (``PHASES``), each drawn once per process as
+runs reach it.  Blocks are not cached: heavy round trips reach weights
+near 200, where caching each block costs tens of MiB.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, count
 from math import comb, gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -209,16 +206,6 @@ def _class_start(w: int) -> int:
     return _CLASS_STARTS[w - _MIN_WEIGHT]
 
 
-@cache
-def _compositions(m: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """All compositions of m into `parts` positive parts, lex order: the
-    order of their cut points."""
-    return tuple(
-        tuple(b - a for a, b in zip((0, *cuts), (*cuts, m)))
-        for cuts in combinations(range(1, m), parts - 1)
-    )
-
-
 def _composition_unrank(m: int, parts: int, rank: int) -> tuple[int, ...]:
     """rank-th (0-based) composition of m into `parts` positive parts, lex order."""
     out = []
@@ -276,32 +263,13 @@ def phi_index(q: Quadruple) -> int:
     raise AssertionError("block not found in its own weight class")
 
 
-def _phases() -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(k, i, j, s', s'')`` for k = 1, 2, ... by walking the blocks
-    in order: the one decoder of the stream, building no ``Quadruple``."""
-    k = 1
-    for w in count(_MIN_WEIGHT):
-        for i, j, m, n, _ in _blocks(w):
-            for joint in _compositions(m, 2 * n):
-                yield k, i, j, joint[:n], joint[n:]
-                k += 1
-
-
-def phase_stream() -> Iterator[tuple[int, Quadruple]]:
-    """Yield (k, phi(k)) for k = 1, 2, ..., a view over one fresh walk of
-    the blocks; iterating the grading directly is much cheaper than
-    calling :func:`phi` per phase."""
-    for k, i, j, s_prime, s_dprime in _phases():
-        yield k, Quadruple(i, j, s_prime, s_dprime)
-
-
 class PhaseTable:
     """``phi(k)`` for k = 1, 2, ..., decoded once and grown on demand.
 
     A cache of a pure function of small ints: phase k's hypothesis
     depends only on k, so one table serves every route of every world.
-    ``draw(k)`` decodes phases up to k from one walk of the blocks, and
-    nothing past it.  Phase k is ``(i[k], j[k], seqs[s_prime[k]],
+    ``draw(k)`` decodes each phase up to k once, by ``phi``, and nothing
+    past it.  Phase k is ``(i[k], j[k], seqs[s_prime[k]],
     seqs[s_dprime[k]])``: its labels and the ids of its interned port
     sequences, kept in ``array``s (index 0 is unused), since a few hundred
     distinct sequences serve thousands of phases.  Growing one table from
@@ -313,16 +281,15 @@ class PhaseTable:
         self.s_prime, self.s_dprime = array("i", [0]), array("i", [0])
         self.seqs: list[tuple[int, ...]] = [()]
         self._ids = {(): 0}
-        self._walk = _phases()
 
     def draw(self, k: int) -> None:
         """Decode phases until phase k is held."""
         ids, seqs = self._ids, self.seqs
-        while len(self.i) <= k:
-            _, i, j, s_prime, s_dprime = next(self._walk)
-            self.i.append(i)
-            self.j.append(j)
-            for seq, out in ((s_prime, self.s_prime), (s_dprime, self.s_dprime)):
+        for phase in range(len(self.i), k + 1):
+            q = phi(phase)
+            self.i.append(q.i)
+            self.j.append(q.j)
+            for seq, out in ((q.s_prime, self.s_prime), (q.s_dprime, self.s_dprime)):
                 n = ids.get(seq)
                 if n is None:
                     n = ids[seq] = len(seqs)

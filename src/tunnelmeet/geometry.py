@@ -16,7 +16,8 @@ forces the agent straight back.  Routes built this way are polylines of
 rational points plus bounce pairs, so meeting detection stays in exact
 arithmetic.  No agent needs an explicit rational path between two
 interior points; the grid witness of that connectivity lemma lives with
-the tests (``tests/conftest.py``).
+the tests (``tests/conftest.py``).  ``geometric_routes`` builds every
+terrain route; ``geometric_rv`` is its one-agent form.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .graph_model import (
     PortLabeledGraph,
     check_field,
     is_list,
-    parse_rational,
+    rational_field,
 )
-from .rendezvous import Limits, RouteBuilder, graph_rv
+from .rendezvous import Limits, RouteBuilder
 from .routes import Route
 
 QPoint = tuple[Fraction, Fraction]
@@ -197,7 +198,10 @@ def terrain_from_json(doc: dict) -> Terrain:
     def pts(rows, path):
         check_field(rows, path, "a list of points [x, y]", is_list)
         return tuple(
-            tuple(map(parse_rational, check_field(xy, f"{path}[{k}]", "a point [x, y]", _is_xy)))
+            tuple(
+                rational_field(c, f"{path}[{k}][{n}]")
+                for n, c in enumerate(check_field(xy, f"{path}[{k}]", "a point [x, y]", _is_xy))
+            )
             for k, xy in enumerate(rows)
         )
 
@@ -375,9 +379,9 @@ def _start_node(t: Terrain, start: QPoint):
 def geometric_rv(
     t: Terrain, start: QPoint, label: int, limits: Limits
 ) -> PlanarRoute:
-    """Terrain rendezvous route: the graph construction run on the
-    terrain's port-labeled view, seen as planar segments."""
-    return PlanarRoute(graph_rv(TerrainGraph(t), _start_node(t, start), label, limits))
+    """One agent's ``geometric_routes`` route: the graph construction run
+    on the terrain's port-labeled view, seen as planar segments."""
+    return geometric_routes(t, (start,), (label,), limits)[0]
 
 
 def geometric_routes(

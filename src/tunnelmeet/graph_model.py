@@ -161,7 +161,7 @@ def build_finite_graph(spec: dict) -> FiniteGraph:
             check_field(edge.get(k), f"edges[{pos}].{k}", "an int", lambda p: type(p) is int)
             for k in ("pu", "pv")
         )
-        length = parse_rational(edge.get("len", 1))
+        length = rational_field(edge.get("len", 1), f"edges[{pos}].len")
         if length <= 0:
             raise GraphError(f"edge {pos}: non-positive length")
         if u not in node_set or v not in node_set:
@@ -211,6 +211,15 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise GraphError(f"not an exact rational: {value!r}")
+
+
+def rational_field(value, path: str) -> Fraction:
+    """``parse_rational`` of a document field: a value that is not an
+    exact rational is a ``MalformedField`` naming ``path``."""
+    try:
+        return parse_rational(value)
+    except GraphError:
+        raise MalformedField(f"{path} must be an exact rational, got {value!r}") from None
 
 
 def format_rational(x: Fraction | int) -> str:

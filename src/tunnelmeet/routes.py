@@ -290,6 +290,15 @@ def dump_route(r: Route) -> str:
     )
 
 
+def _positive(word: str) -> int:
+    """A port or phase number of a dump line: an int of at least 1,
+    written as ``str`` writes it (no sign, padding, ``_`` or other digits)."""
+    k = int(word)
+    if k < 1 or str(k) != word:
+        raise ValueError(word)
+    return k
+
+
 def parse_route_dump(text: str) -> Route:
     """Rebuild a route from its dump.
 
@@ -297,9 +306,9 @@ def parse_route_dump(text: str) -> Route:
     endpoints; lengths are not carried by the format and default to 1.
     The start is named by the first ``# start`` line before the first
     step, or else is that step's ``u``.  A line that is neither a comment
-    nor a traversal, a ``# phase`` line other than ``# phase <k>`` with an
-    int ``k >= 1``, or a step that does not leave the node the route is
-    at, is a ``GraphError`` naming its line.
+    nor a traversal, a port or a ``# phase <k>`` number that is not an
+    int of at least 1 as the dump writes it, or a step that does not leave
+    the node the route is at, is a ``GraphError`` naming its line.
     """
     one = Fraction(1)
     start = None
@@ -312,15 +321,12 @@ def parse_route_dump(text: str) -> Route:
                 parts = line[1:].split()
                 if parts[:1] == ["phase"]:
                     _, word = parts  # a ValueError unless one word follows
-                    k = int(word)
-                    if k < 1:
-                        raise ValueError("phases are numbered from 1")
-                    marks.append((k, len(steps)))
+                    marks.append((_positive(word), len(steps)))
                 elif len(parts) > 1 and parts[0] == "start" and start is None:
                     start = line[1:].split(None, 1)[1]  # a node name may hold spaces
             elif line:
                 u, out_p, v, in_p = line.split("\t")
-                out_p, in_p = int(out_p), int(in_p)
+                out_p, in_p = _positive(out_p), _positive(in_p)
                 start = u if start is None else start
                 at = steps[-1].v if steps else start
                 if u != at:

@@ -72,8 +72,10 @@ def test_alternating_pair_moves_one_at_a_time():
     r2 = graph_rv(g, "B", 2, Limits(6))
     w1 = make_schedule("alternating-first", r1, 0)
     w2 = make_schedule("alternating-second", r2, 0)
-    moving1 = [(t0, t1) for t0, t1, _, a0, a1 in w1.pieces() if a0 != a1]
-    moving2 = [(t0, t1) for t0, t1, _, a0, a1 in w2.pieces() if a0 != a1]
+    moving1, moving2 = (
+        [(t0, t1) for (t0, a0), (t1, a1) in zip(bps, bps[1:]) if a0 != a1]
+        for bps in (w1.breakpoints(), w2.breakpoints())
+    )
     for a0, a1 in moving1:
         for b0, b1 in moving2:
             assert a1 <= b0 or b1 <= a0  # windows never overlap
@@ -410,9 +412,11 @@ def test_lattice_pieces_match_the_fraction_oracle(kind):
         for seed in range(50):
             w = make_schedule(strategy, route, seed)
             want = list(oracle_pieces(route, strategy, seed))
-            got = list(w.pieces())
-            assert got == want, (strategy, seed)
-            assert all(type(x) is F for t0, t1, _, a0, a1 in got for x in (t0, t1, a0, a1))
+            got = w.breakpoints()
+            first = (want[0][0], want[0][3])  # (t0, a0) of the first piece
+            assert got == [first] + [(t1, a1) for _, t1, _, _, a1 in want], (strategy, seed)
+            assert all(type(x) is F for point in got for x in point)
+            assert w.end_time() == want[-1][1]
             for k in (1, 7):
                 tscale, ascale = 840 * d * k, 4 * d * k
                 scaled = list(w.lattice_pieces(tscale, ascale))

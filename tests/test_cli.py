@@ -140,6 +140,18 @@ def _set_terrain_x(doc, value):
     doc["world"]["terrain"]["holes"][0][1][0] = value
 
 
+def _set_outer_x(doc, value):
+    doc["world"]["terrain"]["outer"][1][0] = value
+
+
+#: the path that the error line names for each edit
+_EDITED_FIELD = {
+    _set_edge_len: "world.graph.edges[0].len",
+    _set_terrain_x: "world.terrain.holes[0][1][0]",
+    _set_outer_x: "world.terrain.outer[1][0]",
+}
+
+
 @pytest.mark.parametrize(
     "name,edit,value",
     [
@@ -151,6 +163,7 @@ def _set_terrain_x(doc, value):
         ("hole", _set_terrain_x, "5e-1"),
         ("hole", _set_terrain_x, "0.5"),
         ("k2", _set_edge_len, "1_000"),
+        ("hole", _set_outer_x, "1.0"),
     ],
 )
 def test_run_rejects_bad_rationals(tmp_path, capsys, name, edit, value):
@@ -158,7 +171,8 @@ def test_run_rejects_bad_rationals(tmp_path, capsys, name, edit, value):
     edit(doc, value)
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: GraphError: not an exact rational: {value!r}\n"
+    field = _EDITED_FIELD[edit]
+    assert err == f"error: ScenarioError: {field} must be an exact rational, got {value!r}\n"
 
 
 @pytest.mark.parametrize("seeds", ["ab", [0, "1"], [True], 3])
@@ -524,6 +538,20 @@ def test_tunnel_malformed_dump_names_its_line(tmp_path, capsys):
     assert main(["tunnel", str(good), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: GraphError: {bad}: line 3 is not a route dump line: 'b\\t1\\ta'\n"
+
+
+@pytest.mark.parametrize("port", ["1_0", "+1", " 1", "0", "-1", "01", "\u0661"])
+def test_tunnel_rejects_a_port_the_dump_does_not_write(tmp_path, capsys, port):
+    # a port field is an int of at least 1 written as str() writes it
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "bad.txt"
+    good.write_text("# start a\na\t1\tb\t1\n", encoding="utf-8")
+    line = f"a\t{port}\tb\t1"
+    bad.write_text(f"# start a\n{line}\n", encoding="utf-8")
+    assert main(["tunnel", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: GraphError: {bad}: line 2 is not a route dump line: {line!r}\n"
 
 
 def test_tunnel_unchained_dump_names_its_line(tmp_path, capsys):

@@ -3,7 +3,6 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from tunnelmeet.enumeration import (
     Quadruple,
     pair_decode,
     pair_encode,
-    phase_stream,
     phi,
     phi_index,
     quadruple_weight,
@@ -100,13 +98,18 @@ def test_phi_weight_is_monotone():
     assert weights == sorted(weights)
 
 
+def _table_quadruple(table, k):
+    """Phase k of a drawn ``PhaseTable`` as a ``Quadruple``."""
+    seqs = table.seqs
+    return Quadruple(table.i[k], table.j[k], seqs[table.s_prime[k]], seqs[table.s_dprime[k]])
+
+
 def test_phi_k0_found_by_scan():
-    # independent oracle: scan the stream until the quadruple appears
+    # scan a phase table, as builders read it, until the quadruple appears
     target = Quadruple(1, 2, (1,), (1,))
-    for k, q in phase_stream():
-        if q == target:
-            break
-        assert k < 200
+    table = PhaseTable()
+    table.draw(200)
+    k = next(k for k in range(1, 201) if _table_quadruple(table, k) == target)
     assert phi_index(target) == k == 1
 
 
@@ -126,12 +129,6 @@ def test_phi_rejects_invalid_quadruples():
         phi(0)
 
 
-def test_phase_stream_matches_phi():
-    for (k, q), want in zip(phase_stream(), range(1, 600)):
-        assert k == want
-        assert phi(k) == q
-
-
 def test_phase_table_matches_phi():
     table = PhaseTable()
     table.draw(5_000)
@@ -139,9 +136,7 @@ def test_phase_table_matches_phi():
     seqs = table.seqs
     assert len(set(seqs)) == len(seqs)  # each port sequence interned once
     for k in range(1, 5_001):
-        q = phi(k)
-        got = (table.i[k], table.j[k], seqs[table.s_prime[k]], seqs[table.s_dprime[k]])
-        assert got == (q.i, q.j, q.s_prime, q.s_dprime)
+        assert _table_quadruple(table, k) == phi(k)
     table.draw(10)  # phases already held are not decoded again
     assert len(table.s_prime) == len(table.s_dprime) == 5_001
 
@@ -208,8 +203,11 @@ def test_order_golden_pins_stream_rank_and_unrank():
     # phi and phi_index made consistently would pass every round trip.
     from tunnelmeet.cli import _format_quadruple
 
+    table = PhaseTable()
+    table.draw(50_000)  # weights 5 to 19
     stream = hashlib.sha256()
-    for k, q in islice(phase_stream(), 50_000):  # weights 5 to 19
+    for k in range(1, 50_001):
+        q = _table_quadruple(table, k)
         stream.update(f"{k}\t{_format_quadruple(q)}\n".encode())
         if k % 997 == 1:
             assert phi_index(q) == k

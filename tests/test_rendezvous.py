@@ -561,14 +561,13 @@ def test_no_phase_is_replayed(monkeypatch, g, start, cap):
     # many builders and graph_rv calls read it; the budget never fires, so
     # the recursion goes as far as asked
     drawn = []
-    phases = enumeration._phases
+    phi = enumeration.phi
 
-    def counted():
-        for item in phases():
-            drawn.append(item[0])
-            yield item
+    def counted(k):
+        drawn.append(k)
+        return phi(k)
 
-    monkeypatch.setattr(enumeration, "_phases", counted)
+    monkeypatch.setattr(enumeration, "phi", counted)
     monkeypatch.setattr(rendezvous, "PHASES", enumeration.PhaseTable())
     limits = Limits(cap, step_budget=10**30)
     for label in (1, 2):

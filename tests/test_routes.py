@@ -85,11 +85,22 @@ def test_dump_and_parse_round_trip():
 
 
 @pytest.mark.parametrize(
-    "marker", ["# phase", "# phase 1 2", "# phase x", "#phase 1.5", "# phase 0", "# phase -3"]
+    "marker",
+    [
+        "# phase",
+        "# phase 1 2",
+        "# phase x",
+        "#phase 1.5",
+        "# phase 0",
+        "# phase -3",
+        "# phase 01",
+        "# phase +1",
+        "# phase 1_0",
+    ],
 )
 def test_malformed_phase_marker_names_its_line(marker):
     # a comment whose first word is "phase" must be "# phase <k>", with an
-    # int k >= 1: phases are numbered from 1
+    # int k >= 1 written as the dump writes it: phases are numbered from 1
     text = f"# start A\n{marker}\nA\t1\tB\t1\n"
     with pytest.raises(GraphError) as info:
         parse_route_dump(text)
