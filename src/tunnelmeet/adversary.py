@@ -366,7 +366,8 @@ def detect_meeting_graph(g, r1, r2, w1: WalkSchedule, w2: WalkSchedule) -> Meeti
 
     Agents meet when they occupy the same node or the same point inside
     the same undirected edge.  The scan stops at the common horizon (the
-    earlier schedule end); the graph case reports met/not met only.
+    earlier schedule end); the graph case reports met/not met only.  The
+    graph ``g`` is not read: the routes' steps carry all the sweep needs.
     """
     tscale, ascale = _lattice((r1, w1), (r2, w2))
     canon: dict = {}
@@ -548,12 +549,11 @@ def planar_point_at(route, arc: Fraction):
 # Batch verification
 # ---------------------------------------------------------------------------
 
-def verify_rendezvous(world, r1, r2, suite=DEFAULT_SUITE, seeds=(0,)) -> dict:
+def verify_rendezvous(r1, r2, suite=DEFAULT_SUITE, seeds=(0,)) -> dict:
     """Run every (strategy pair, seed) cell and aggregate the verdicts.
 
-    ``world`` is a graph for graph routes and a terrain (or None) for
-    planar routes.  Results are independent of evaluation order; the
-    report is reproducible from the seeds.
+    Results are independent of evaluation order; the report is
+    reproducible from the seeds.
     """
     planar = hasattr(r1, "embed")
     cells = []
@@ -565,7 +565,7 @@ def verify_rendezvous(world, r1, r2, suite=DEFAULT_SUITE, seeds=(0,)) -> dict:
             if planar:
                 verdict = detect_meeting_planar(r1, r2, w1, w2)
             else:
-                verdict = detect_meeting_graph(world, r1, r2, w1, w2)
+                verdict = detect_meeting_graph(None, r1, r2, w1, w2)
             cells.append(
                 {
                     "strategy": name,

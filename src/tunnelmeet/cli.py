@@ -25,13 +25,16 @@ from .adversary import DEFAULT_SUITE, MeetingVerdict, epsilon_verdict, verify_re
 from .enumeration import ENUM_VERSION, Quadruple, phi, rational_pair
 from .geometry import geometric_routes, terrain_from_json
 from .graph_model import (
+    GENERATORS,
     GraphError,
     MalformedField,
     check_field,
     format_rational,
     generator,
-    generator_origin,
+    is_int,
     is_node_name,
+    is_object,
+    is_point,
     load_graph_json,
     rational_field,
 )
@@ -94,53 +97,31 @@ def _rational(value, field: str) -> Fraction:
         raise ScenarioError(str(exc)) from None
 
 
-def _is_int(x) -> bool:
-    return type(x) is int  # a JSON true is no int
-
-
-def _is_object(x) -> bool:
-    return isinstance(x, dict)
-
-
-#: Node handle shape per generator: (shape, check).
-_GENERATOR_STARTS = {
-    "infinite_line": ("an int", _is_int),
-    "infinite_grid": (
-        "a list of two ints",
-        lambda s: isinstance(s, list) and len(s) == 2 and all(map(_is_int, s)),
-    ),
-    "infinite_binary_tree": (
-        "a list of 0s and 1s",
-        lambda s: isinstance(s, list) and all(_is_int(c) and c in (0, 1) for c in s),
-    ),
-}
-
-
 def _world(doc: dict):
     """The world's kind and the world: a graph, a terrain or a generator."""
     kinds = ("graph", "terrain", "generator")
     kind = _check(doc.get("kind"), "world.kind", f"one of {', '.join(kinds)}", lambda k: k in kinds)
     if kind == "generator":
         name = doc.get("name")
-        known = isinstance(name, str) and name in _GENERATOR_STARTS
+        known = isinstance(name, str) and name in GENERATORS
         _check(name, "world.name", "a generator name", lambda _: known)
         written = doc.get("unit_length", 1)
         unit = _rational(written, "world.unit_length")
         _check(written, "world.unit_length", "positive", lambda _: unit > 0)
         return kind, generator(name, unit)
-    spec = _check(doc.get(kind), f"world.{kind}", "an object", _is_object)
+    spec = _check(doc.get(kind), f"world.{kind}", "an object", is_object)
     try:
         return kind, (load_graph_json if kind == "graph" else terrain_from_json)(spec)
     except MalformedField as exc:
         raise ScenarioError(f"world.{kind}.{exc}") from None
 
 
-def _start(kind: str, world, world_doc: dict, start, field: str):
+def _start(kind: str, world, start, field: str):
     """A start as a node handle of the world: a node of a graph, a handle
     of a generator (``"origin"`` or none is its origin) or an interior
     point of a terrain."""
     if kind == "terrain":
-        _check(start, field, "a point [x, y]", lambda s: isinstance(s, list) and len(s) == 2)
+        _check(start, field, "a point [x, y]", is_point)
         point = tuple(_rational(c, f"{field}[{i}]") for i, c in enumerate(start))
         if not world.is_interior(point):
             shown = json.dumps([format_rational(c) for c in point])
@@ -150,8 +131,8 @@ def _start(kind: str, world, world_doc: dict, start, field: str):
         _check(start, field, "a node name", is_node_name)
         return _check(start, field, "a node of world.graph", lambda s: s in world.nodes)
     if start in (None, "origin"):
-        return generator_origin(world_doc["name"])
-    _check(start, field, *_GENERATOR_STARTS[world_doc["name"]])
+        return world.origin
+    _check(start, field, *world.handle)
     return tuple(start) if isinstance(start, list) else start
 
 
@@ -163,7 +144,7 @@ def read_scenario(path: str, args) -> Scenario:
     path, such as ``agents[1].start``; a world document may also fail as
     a ``GraphError``.  Only a file that cannot be read names its path."""
     doc = _read(path, json.loads)
-    schema = doc.get("schema") if isinstance(doc, dict) else None
+    schema = doc.get("schema") if is_object(doc) else None
     _check(schema, "schema", repr(SCENARIO_SCHEMA), lambda s: s == SCENARIO_SCHEMA)
     agents = _check(
         doc.get("agents"),
@@ -172,14 +153,14 @@ def read_scenario(path: str, args) -> Scenario:
         lambda a: isinstance(a, list) and len(a) == 2,
     )
     world_doc, lim, adversary = (
-        _check(doc.get(field, {}), field, "an object", _is_object)
+        _check(doc.get(field, {}), field, "an object", is_object)
         for field in ("world", "limits", "adversary")
     )
     labels = []
     for n, agent in enumerate(agents):
-        _check(agent, f"agents[{n}]", "an object", _is_object)
+        _check(agent, f"agents[{n}]", "an object", is_object)
         label = agent.get("label")
-        _check(label, f"agents[{n}].label", "a positive int", lambda x: _is_int(x) and x > 0)
+        _check(label, f"agents[{n}].label", "a positive int", lambda x: is_int(x) and x > 0)
         labels.append(label)
     _check(labels[1], "agents[1].label", "distinct from agents[0].label", lambda x: x != labels[0])
     kind, world = _world(world_doc)
@@ -188,14 +169,14 @@ def read_scenario(path: str, args) -> Scenario:
     if budget is None:
         budget = lim.get("step_budget", DEFAULT_STEP_BUDGET)
     for field, value, least in (("phase_cap", cap, 0), ("step_budget", budget, 1)):
-        _check(value, f"limits.{field}", "an int", _is_int)
+        _check(value, f"limits.{field}", "an int", is_int)
         _check(value, f"limits.{field}", f"at least {least}", lambda v: v >= least)
     seed = getattr(args, "seed", None)  # ``route`` has no --seed
     seeds = _check(
         [seed] if seed is not None else adversary.get("seeds", [0]),
         "adversary.seeds",
         "a non-empty list of ints",  # a run with no cells checks nothing
-        lambda s: isinstance(s, list) and s and all(map(_is_int, s)),
+        lambda s: isinstance(s, list) and s and all(map(is_int, s)),
     )
     names = [row[0] for row in DEFAULT_SUITE]
     chosen = _check(
@@ -205,9 +186,7 @@ def read_scenario(path: str, args) -> Scenario:
         lambda s: isinstance(s, list) and s and all(x in names for x in s),
     )
     shown = tuple(agent.get("start") for agent in agents)
-    starts = tuple(
-        _start(kind, world, world_doc, start, f"agents[{n}].start") for n, start in enumerate(shown)
-    )
+    starts = tuple(_start(kind, world, s, f"agents[{n}].start") for n, s in enumerate(shown))
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         _check(epsilon, "epsilon", "unset outside a terrain world", lambda _: kind == "terrain")
@@ -230,19 +209,34 @@ def _routes(sc: Scenario, agents) -> list:
     return [builder.route(start, label) for start, label in zip(starts, labels)]
 
 
+def _float(x) -> float | None:
+    """``float(x)``, or None (JSON null) where a float cannot hold ``x``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _distance_float(gap_sq) -> float | None:
+    """The distance whose exact square is ``gap_sq``, or None where a
+    float cannot hold ``gap_sq``."""
+    sq = _float(gap_sq)
+    return None if sq is None else sq ** 0.5
+
+
 def _location_json(loc, use_float: bool):
     if loc[0] == "node":
         return {"kind": "node", "node": str(loc[1])}
     if loc[0] == "edge":
         out = {"kind": "edge", "edge": str(loc[1]), "offset": format_rational(loc[2])}
         if use_float:
-            out["offset_float"] = float(loc[2])
+            out["offset_float"] = _float(loc[2])
         return out
     x, y = loc
     out = {"kind": "point", "x": format_rational(x), "y": format_rational(y)}
     if use_float:
-        out["x_float"] = float(x)
-        out["y_float"] = float(y)
+        out["x_float"] = _float(x)
+        out["y_float"] = _float(y)
     return out
 
 
@@ -251,12 +245,12 @@ def _verdict_json(v: MeetingVerdict, use_float: bool) -> dict:
     if v.met:
         out["time"] = format_rational(v.time)
         if use_float:
-            out["time_float"] = float(v.time)
+            out["time_float"] = _float(v.time)
         out["location"] = _location_json(v.location, use_float)
     if v.min_distance_sq is not None:
         out["min_distance_sq"] = format_rational(v.min_distance_sq)
         if use_float:
-            out["min_distance_float"] = float(v.min_distance_sq) ** 0.5
+            out["min_distance_float"] = _distance_float(v.min_distance_sq)
     return out
 
 
@@ -286,7 +280,7 @@ def _report_json(sc: Scenario, report, use_float: bool) -> dict:
         out["worst_min_distance_sq"] = None if worst is None else format_rational(worst)
         out["within_epsilon"] = report["within_epsilon"]
         if use_float and worst is not None:
-            out["worst_min_distance_float"] = float(worst) ** 0.5
+            out["worst_min_distance_float"] = _distance_float(worst)
     return out
 
 
@@ -306,7 +300,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_run(args) -> int:
     sc = read_scenario(args.scenario, args)
     r1, r2 = _routes(sc, (0, 1))
-    report = verify_rendezvous(sc.world, r1, r2, suite=sc.suite, seeds=sc.seeds)
+    report = verify_rendezvous(r1, r2, suite=sc.suite, seeds=sc.seeds)
     if sc.epsilon is not None:
         report = epsilon_verdict(report, sc.epsilon)
     text = json.dumps(_report_json(sc, report, args.float), indent=2, sort_keys=True) + "\n"

@@ -22,10 +22,11 @@ breaking format change.
 
 The route builder reads only ``PHASES``, the process's ``PhaseTable``,
 and terrain ports use ``rational_pair`` and its inverse
-``rational_pair_index`` (built on ``rational_index``).  ``phi_index`` and
-the sequence codec ``seq_encode``/``seq_decode`` are oracles: the
-acceptance tests check the bijections with them, and ``phi_index`` names
-the phase at which a world's true hypothesis comes up.
+``rational_pair_index``; the rational zig-zag under both is written
+once, in ``_block``.  ``phi_index`` and the sequence codec
+``seq_encode``/``seq_decode`` are oracles: the acceptance tests check
+the bijections with them, and ``phi_index`` names the phase at which a
+world's true hypothesis comes up.
 
 The order within a weight class is written once, in ``_blocks``, and
 both ``phi`` and ``phi_index`` walk it; ``phi`` is the one decoder, and
@@ -325,33 +326,27 @@ def _totient(n: int) -> int:
     return result
 
 
+def _block(s: int) -> list[int]:
+    """Block s of the zig-zag: the denominators q < s coprime with s, ascending."""
+    return [q for q in range(1, s) if gcd(q, s) == 1]
+
+
 def rational_value(k: int) -> Fraction:
     """The k-th rational (k >= 1) in the zig-zag order.
 
     Index 1 is 0; then blocks of constant |p| + q = s for s = 2, 3, ...,
-    each block listing denominators ascending (coprime with s only) with
-    the positive fraction before the negative one.
+    each block listing denominators ascending (``_block``) with the
+    positive fraction before the negative one.
     """
     if k < 1:
         raise ValueError("rational_value is defined for k >= 1")
     if k == 1:
         return Fraction(0)
-    idx = k - 2
-    s = 2
-    while True:
-        block = 2 * _totient(s)
-        if idx < block:
-            break
-        idx -= block
+    idx, s = k - 2, 2
+    while idx >= (size := 2 * _totient(s)):
+        idx -= size
         s += 1
-    count = idx // 2
-    q = 1
-    while True:
-        if gcd(q, s) == 1:
-            if count == 0:
-                break
-            count -= 1
-        q += 1
+    q = _block(s)[idx // 2]
     value = Fraction(s - q, q)
     return value if idx % 2 == 0 else -value
 
@@ -361,13 +356,7 @@ def rational_index(x: Fraction) -> int:
     if x == 0:
         return 1
     p, q = abs(x.numerator), x.denominator
-    s = p + q
-    idx = 2
-    for ss in range(2, s):
-        idx += 2 * _totient(ss)
-    for qq in range(1, q):
-        if gcd(qq, s) == 1:
-            idx += 2
+    idx = 2 + sum(2 * _totient(s) for s in range(2, p + q)) + 2 * _block(p + q).index(q)
     return idx if x > 0 else idx + 1
 
 

@@ -35,6 +35,7 @@ from .graph_model import (
     PortLabeledGraph,
     check_field,
     is_list,
+    is_point,
     rational_field,
 )
 from .rendezvous import Limits, RouteBuilder
@@ -200,7 +201,7 @@ def terrain_from_json(doc: dict) -> Terrain:
         return tuple(
             tuple(
                 rational_field(c, f"{path}[{k}][{n}]")
-                for n, c in enumerate(check_field(xy, f"{path}[{k}]", "a point [x, y]", _is_xy))
+                for n, c in enumerate(check_field(xy, f"{path}[{k}]", "a point [x, y]", is_point))
             )
             for k, xy in enumerate(rows)
         )
@@ -209,10 +210,6 @@ def terrain_from_json(doc: dict) -> Terrain:
     return Terrain(
         pts(doc.get("outer"), "outer"), tuple(pts(h, f"holes[{n}]") for n, h in enumerate(holes))
     )
-
-
-def _is_xy(value) -> bool:
-    return is_list(value) and len(value) == 2
 
 
 def first_boundary_hit(t: Terrain, v: QPoint, u: QPoint) -> QPoint | None:

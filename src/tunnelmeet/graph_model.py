@@ -4,15 +4,17 @@ A graph is exposed through a two-method oracle: ``is_port`` and
 ``traverse``.  Agents never see node names, only local port numbers, so
 everything downstream (route construction, tunnel checking) works
 against this interface.  Finite graphs are validated adjacency tables;
-the lazy generators realize infinite graphs with canonical coordinate
-handles.  Nodes of infinite degree are representable (``is_port`` is the
-only total query), though no built-in generator has one.
+the lazy ``GENERATORS`` realize infinite graphs, each with its
+``origin`` and the ``handle`` (shape, check) of its nodes in a scenario.
+Nodes of infinite degree are representable (``is_port`` is the only
+total query), though no built-in generator has one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 from typing import Hashable
@@ -60,8 +62,20 @@ def check_field(value, path: str, shape: str, fits):
     return value
 
 
+def is_int(value) -> bool:
+    return type(value) is int  # a JSON true is no int
+
+
+def is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
 def is_list(value) -> bool:
     return isinstance(value, (list, tuple))
+
+
+def is_point(value) -> bool:
+    return is_list(value) and len(value) == 2
 
 
 def is_node_name(value) -> bool:
@@ -70,7 +84,7 @@ def is_node_name(value) -> bool:
     if isinstance(value, str):
         one_line = value.splitlines() == [value]  # not empty, no line break
         return one_line and value == value.strip() and "\t" not in value and value[0] != "#"
-    return type(value) is int
+    return is_int(value)
 
 
 @dataclass(frozen=True)
@@ -152,13 +166,13 @@ def build_finite_graph(spec: dict) -> FiniteGraph:
     adj: dict = {v: {} for v in nodes}
     edges = check_field(spec.get("edges", []), "edges", "a list of edges", is_list)
     for pos, edge in enumerate(edges):
-        check_field(edge, f"edges[{pos}]", "an object", lambda e: isinstance(e, dict))
+        check_field(edge, f"edges[{pos}]", "an object", is_object)
         u, v = (
             check_field(edge.get(k), f"edges[{pos}].{k}", "a node name", is_node_name)
             for k in ("u", "v")
         )
         pu, pv = (
-            check_field(edge.get(k), f"edges[{pos}].{k}", "an int", lambda p: type(p) is int)
+            check_field(edge.get(k), f"edges[{pos}].{k}", "an int", is_int)
             for k in ("pu", "pv")
         )
         length = rational_field(edge.get("len", 1), f"edges[{pos}].len")
@@ -202,7 +216,7 @@ def parse_rational(value) -> Fraction:
     form (a bool, a float, ``"0.5"``, ``"1e5"``, ``"1_000"``) is a
     ``GraphError``, so no input text sizes a number by its exponent."""
     if (
-        type(value) is int
+        is_int(value)
         or isinstance(value, Fraction)
         or (isinstance(value, str) and _RATIONAL.fullmatch(value))
     ):
@@ -223,7 +237,13 @@ def rational_field(value, path: str) -> Fraction:
 
 
 def format_rational(x: Fraction | int) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """``num/den`` in full.  An output value may have more digits than
+    ``str(int)`` allows (a hit point's denominator grows with the
+    terrain's); ``Decimal`` writes them, while input stays bounded."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the int-to-str digit limit
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def load_graph_json(doc: dict) -> FiniteGraph:
@@ -246,6 +266,9 @@ class _LazyGraph(PortLabeledGraph):
 class InfiniteLine(_LazyGraph):
     """Integers with port 1 = successor, port 2 = predecessor."""
 
+    origin = 0
+    handle = ("an int", is_int)
+
     def is_port(self, v: int, p: int) -> bool:
         return p in (1, 2)
 
@@ -260,6 +283,8 @@ class InfiniteLine(_LazyGraph):
 class InfiniteGrid(_LazyGraph):
     """Z^2 with ports 1..4 = East, North, West, South."""
 
+    origin = (0, 0)
+    handle = ("a list of two ints", lambda v: is_point(v) and all(map(is_int, v)))
     _STEPS = {1: (1, 0), 2: (0, 1), 3: (-1, 0), 4: (0, -1)}
 
     def is_port(self, v: tuple[int, int], p: int) -> bool:
@@ -282,6 +307,12 @@ class InfiniteBinaryTree(_LazyGraph):
     parent.
     """
 
+    origin = ()
+    handle = (
+        "a list of 0s and 1s",
+        lambda v: is_list(v) and all(is_int(c) and c in (0, 1) for c in v),
+    )
+
     def is_port(self, v: tuple, p: int) -> bool:
         if p in (1, 2):
             return True
@@ -297,7 +328,7 @@ class InfiniteBinaryTree(_LazyGraph):
         raise InvalidPort(f"{p} is not a port at {v!r}")
 
 
-_GENERATORS = {
+GENERATORS = {
     "infinite_line": InfiniteLine,
     "infinite_grid": InfiniteGrid,
     "infinite_binary_tree": InfiniteBinaryTree,
@@ -307,16 +338,14 @@ _GENERATORS = {
 def generator(kind: str, unit_length=Fraction(1)) -> PortLabeledGraph:
     """Lazy infinite graph of the given kind; all edges have unit_length."""
     try:
-        cls = _GENERATORS[kind]
+        cls = GENERATORS[kind]
     except KeyError:
         raise GraphError(f"unknown generator kind {kind!r}") from None
     return cls(parse_rational(unit_length))
 
 
 def generator_origin(kind: str) -> NodeHandle:
-    return {"infinite_line": 0, "infinite_grid": (0, 0), "infinite_binary_tree": ()}[
-        kind
-    ]
+    return GENERATORS[kind].origin
 
 
 # ---------------------------------------------------------------------------

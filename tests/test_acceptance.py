@@ -406,7 +406,7 @@ def geometric_corpus():
         terrain, starts, labels, cap = _scenario_terrain(name)
         t0 = time.monotonic()
         r1, r2 = geometric_routes(terrain, starts, labels, Limits(cap, STEP_BUDGET))
-        report = verify_rendezvous(terrain, r1, r2, seeds=tuple(range(5)))
+        report = verify_rendezvous(r1, r2, seeds=tuple(range(5)))
         out[name] = {
             "terrain": terrain,
             "routes": (r1, r2),
@@ -433,7 +433,7 @@ def test_criterion_8_geometric_rendezvous(geometric_corpus):
 def approx_report():
     terrain, starts, labels, cap = _scenario_terrain("approx")
     routes = geometric_routes(terrain, starts, labels, Limits(cap, STEP_BUDGET))
-    report = verify_rendezvous(terrain, *routes, seeds=tuple(range(5)))
+    report = verify_rendezvous(*routes, seeds=tuple(range(5)))
     return epsilon_verdict(report, F(1, 1024)), terrain, routes
 
 

@@ -164,7 +164,7 @@ def test_disjoint_walks_never_meet():
     )
     r1 = route_from_steps("b", [g.traverse("b", 1)])
     r2 = route_from_steps("c", [g.traverse("c", 2)])
-    report = verify_rendezvous(g, r1, r2, seeds=(0, 1, 2))
+    report = verify_rendezvous(r1, r2, seeds=(0, 1, 2))
     assert not report["all_met"]
     assert not report["vacuous"]
 
@@ -173,7 +173,7 @@ def test_empty_suite_is_vacuous():
     g = k2()
     r1 = route_from_steps("A", [g.traverse("A", 1)])
     r2 = route_from_steps("B", [g.traverse("B", 1)])
-    report = verify_rendezvous(g, r1, r2, suite=(), seeds=())
+    report = verify_rendezvous(r1, r2, suite=(), seeds=())
     assert report["vacuous"] and report["all_met"] and report["cells"] == []
 
 
@@ -332,8 +332,8 @@ def test_report_is_reproducible():
     k, _ = true_quadruple(g, "A", "B", 1, 2)
     r1 = graph_rv(g, "A", 1, Limits(k))
     r2 = graph_rv(g, "B", 2, Limits(k))
-    a = verify_rendezvous(g, r1, r2, seeds=(0, 1, 2))
-    b = verify_rendezvous(g, r1, r2, seeds=(0, 1, 2))
+    a = verify_rendezvous(r1, r2, seeds=(0, 1, 2))
+    b = verify_rendezvous(r1, r2, seeds=(0, 1, 2))
     assert a == b
 
 
@@ -595,8 +595,8 @@ def test_rational_verdicts_golden():
     # 135 graph and 892 planar of them without a meeting
     lines = []
     worlds = [*_rational_graph_pairs(24), *_rational_polyline_pairs(60)]
-    for world, r1, r2 in worlds:
-        for cell in verify_rendezvous(world, r1, r2, seeds=range(4))["cells"]:
+    for _, r1, r2 in worlds:
+        for cell in verify_rendezvous(r1, r2, seeds=range(4))["cells"]:
             v = cell["verdict"]
             lines.append(repr((v.met, v.time, v.location, v.min_distance_sq)))
     assert len(lines) == 2120

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -14,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_first_boundary_hit
 from tunnelmeet.adversary import DEFAULT_SUITE
 from tunnelmeet.cli import main
+from tunnelmeet.enumeration import rational_pair
+from tunnelmeet.geometry import Terrain, geometric_rv
 from tunnelmeet.graph_model import load_graph_json, random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
 from tunnelmeet.routes import StepBudgetExceeded, dump_route, parse_route_dump
@@ -164,6 +168,7 @@ _EDITED_FIELD = {
         ("hole", _set_terrain_x, "0.5"),
         ("k2", _set_edge_len, "1_000"),
         ("hole", _set_outer_x, "1.0"),
+        pytest.param("hole", _set_outer_x, "1" * 4301, id="past-the-int-digit-limit"),
     ],
 )
 def test_run_rejects_bad_rationals(tmp_path, capsys, name, edit, value):
@@ -777,34 +782,117 @@ _FLOAT_FIELDS = {
 
 def test_float_flag_adds_decimals(tmp_path):
     for name, fields in _FLOAT_FIELDS.items():
-        _check_float_fields(tmp_path, name, fields)
+        _check_float_fields(tmp_path, scenario_path(name), fields)
 
 
-def _check_float_fields(tmp_path, name, fields):
+def _float_or_null(exact: str):
+    """The decimal of an exact field, or None where a float cannot hold it."""
+    try:
+        return float(Fraction(exact))
+    except OverflowError:
+        return None
+
+
+def _distance_or_null(exact_sq: str):
+    sq = _float_or_null(exact_sq)
+    return None if sq is None else sq ** 0.5
+
+
+def _check_float_fields(tmp_path, path, fields, code=0):
     """--float adds the decimal of each exact field (a distance's from its
-    square), at least ``fields`` among them, and changes nothing else."""
+    square), at least ``fields`` among them, and changes nothing else;
+    both runs exit ``code``.  Returns the report with decimals."""
     reports = []
     for flags in ([], ["--float"]):
         out = tmp_path / "verdict.json"
-        assert main(["run", scenario_path(name), *flags, "--out", str(out)]) == 0
+        assert main(["run", path, *flags, "--out", str(out)]) == code
         reports.append(json.loads(out.read_text()))
     exact, decimal = reports
     want = dict(exact, cells=[])
     for cell in exact["cells"]:
         cell = dict(cell)
         if cell["met"]:
-            cell["time_float"] = float(Fraction(cell["time"]))
+            cell["time_float"] = _float_or_null(cell["time"])
             loc = cell["location"] = dict(cell["location"])
             for field in {"point": ("x", "y"), "edge": ("offset",)}.get(loc["kind"], ()):
-                loc[f"{field}_float"] = float(Fraction(loc[field]))
+                loc[f"{field}_float"] = _float_or_null(loc[field])
         if "min_distance_sq" in cell:
-            cell["min_distance_float"] = float(Fraction(cell["min_distance_sq"])) ** 0.5
+            cell["min_distance_float"] = _distance_or_null(cell["min_distance_sq"])
         want["cells"].append(cell)
     if exact.get("worst_min_distance_sq") is not None:
-        want["worst_min_distance_float"] = float(Fraction(exact["worst_min_distance_sq"])) ** 0.5
+        want["worst_min_distance_float"] = _distance_or_null(exact["worst_min_distance_sq"])
     assert decimal == want
     seen = set(decimal) | {k for c in decimal["cells"] for k in (*c, *c.get("location", ()))}
-    assert fields <= seen, name
+    assert fields <= seen, path
+    return decimal
+
+
+def _terrain_scenario(tmp_path, outer, starts, **fields):
+    """The square scenario with another outer polygon and other starts."""
+    doc = _edited("square", ("world", "terrain", "outer"), [list(map(str, xy)) for xy in outer])
+    for agent, start in zip(doc["agents"], starts):
+        agent["start"] = list(map(str, start))
+    return write_scenario(tmp_path, dict(doc, **fields))
+
+
+def test_float_is_null_where_a_float_cannot_hold_the_value(tmp_path):
+    # a met point near 10**400 is past the float range; its time is not
+    big = 10**400
+    outer = [(big + dx, big + dy) for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    starts = [(Fraction(4 * big + 1, 4), Fraction(2 * big + 1, 2))]
+    starts.append((starts[0][0] + Fraction(1, 2), starts[0][1]))
+    path = _terrain_scenario(tmp_path, outer, starts)
+    report = _check_float_fields(tmp_path, path, {"time_float", "x_float", "y_float"})
+    for cell in report["cells"]:
+        assert cell["met"] and cell["time_float"] is not None
+        assert cell["location"]["x_float"] is None and cell["location"]["y_float"] is None
+
+
+def test_distance_float_is_null_where_a_float_cannot_hold_its_square(tmp_path):
+    # at phase cap 0 the agents stay 10**200 apart: a float holds the
+    # distance, but not its square
+    side = 10**200
+    outer = [(0, 0), (side, 0), (side, side), (0, side)]
+    path = _terrain_scenario(
+        tmp_path, outer, [(1, 1), (side - 1, side - 1)], epsilon="1", limits={"phase_cap": 0}
+    )
+    fields = {"min_distance_float", "worst_min_distance_float"}
+    report = _check_float_fields(tmp_path, path, fields, code=1)
+    assert report["worst_min_distance_float"] is None
+    assert all(cell["min_distance_float"] is None for cell in report["cells"])
+
+
+def _exact(text: str) -> Fraction:
+    """A dumped ``num/den``, read past the digit limit of ``int(str)``."""
+    num, den = text.split("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den)))
+
+
+def test_route_dump_writes_hit_points_past_the_digit_limit(tmp_path):
+    # inputs of 2,501 digits; a hit on the slanted edges has a denominator
+    # of more digits than str() of an int writes
+    a, b = 10**2500 + 7, 10**2500 + 9
+    outer = [(0, 0), (Fraction(a + 1, a), 0), (1, Fraction(b + 1, b)), (0, 1)]
+    starts = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 2))]
+    out = tmp_path / "route.txt"
+    path = _terrain_scenario(tmp_path, outer, starts)
+    assert main(["route", path, "--agent", "1", "--phase-cap", "3", "--out", str(out)]) == 0
+    lines = [ln.split("\t") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == ["start", "3/4", "1/2"]
+    dumped = [((_exact(x), _exact(y)), kind) for x, y, kind in lines[1:]]
+    terrain = Terrain(tuple((Fraction(x), Fraction(y)) for x, y in outer))
+    route = geometric_rv(terrain, starts[1], 2, Limits(3))
+    assert dumped == [(seg.end, seg.kind) for seg in route.segments()]
+    hits = []
+    for step in route.steps():
+        if step.v[0] == "v2":
+            _, origin, port, hit = step.v
+            off = rational_pair(port)
+            target = (origin[0] + off.q1, origin[1] + off.q2)
+            assert hit == oracle_first_boundary_hit(terrain, origin, target)
+            hits.append(hit)
+    assert {(xy, "bounce_out") for xy in hits} == {d for d in dumped if d[1] == "bounce_out"}
+    assert max(xy[0].denominator for xy in hits) > 10**4300
 
 
 # SHA-256 of the planar route dumps and of the default-seed verdict

@@ -483,7 +483,7 @@ def _approx_report(epsilon):
     sq = unit_square()
     starts = ((F(3, 8), F(1, 2)), (F(5, 8), F(1, 2)))
     r1, r2 = geometric_routes(sq, starts, (1, 2), Limits(2))
-    return epsilon_verdict(verify_rendezvous(sq, r1, r2, seeds=(0,)), epsilon)
+    return epsilon_verdict(verify_rendezvous(r1, r2, seeds=(0,)), epsilon)
 
 
 def test_approx_rendezvous_rational_starts_meet_exactly():

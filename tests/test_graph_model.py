@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import k2
 from tunnelmeet.graph_model import (
+    GENERATORS,
     DanglingEdge,
     Disconnected,
     DuplicatePort,
@@ -15,6 +17,9 @@ from tunnelmeet.graph_model import (
     build_finite_graph,
     generator,
     generator_origin,
+    is_int,
+    is_object,
+    is_point,
     parse_rational,
     random_connected_graph,
 )
@@ -148,6 +153,48 @@ def test_generator_determinism():
     b = generator("infinite_grid")
     for p in (1, 2, 3, 4):
         assert a.traverse((3, -2), p) == b.traverse((3, -2), p)
+
+
+def _as_written(node):
+    """A node handle as a scenario writes it: JSON has lists, not tuples."""
+    return json.loads(json.dumps(node))
+
+
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_generator_handle_accepts_its_origin_and_the_nodes_next_to_it(kind):
+    g = generator(kind)
+    _, fits = g.handle
+    assert g.origin == generator_origin(kind)
+    assert fits(g.origin) and fits(_as_written(g.origin))
+    near = [g.traverse(g.origin, p).v for p in range(1, 6) if g.is_port(g.origin, p)]
+    assert near
+    for node in near:
+        assert fits(_as_written(node)), node
+
+
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_generator_handle_rejects_a_bool_and_a_float(kind):
+    g = generator(kind)
+    _, fits = g.handle
+    node = _as_written(g.traverse(g.origin, 1).v)
+    bad = [True, 0.5]
+    if isinstance(node, list):  # the same in place of a coordinate
+        bad += [[True, *node[1:]], [0.5, *node[1:]]]
+    for value in bad:
+        assert not fits(value), value
+
+
+@pytest.mark.parametrize(
+    "shape,yes,no",
+    [
+        (is_int, [0, -3, 10**30], [True, 0.5, "1", None]),
+        (is_object, [{}, {"a": 1}], [[], "x", None]),
+        (is_point, [[0, 0], ["1/2", 3], (1, 2)], [[0], [0, 0, 0], {"x": 0, "y": 0}, "xy"]),
+    ],
+)
+def test_json_shapes(shape, yes, no):
+    assert all(map(shape, yes))
+    assert not any(map(shape, no))
 
 
 @pytest.mark.parametrize(

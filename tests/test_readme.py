@@ -1,4 +1,5 @@
-"""The README's Layout table names only what its modules define."""
+"""The README names only what its modules define: the Layout table's
+identifiers, and the generators a ``scenario-v1`` world may name."""
 
 import argparse
 import importlib
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 from tunnelmeet.cli import build_parser
+from tunnelmeet.graph_model import GENERATORS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +38,10 @@ def test_readme_layout_names_what_each_module_defines():
             mod = importlib.import_module(module)
             missing = [n for n in names if not hasattr(mod, n)]
         assert not missing, (module, missing)
+
+
+def test_readme_lists_the_generators():
+    text = README.read_text(encoding="utf-8")
+    scenario = text.split("* **scenario-v1**", 1)[1].split("\n* **", 1)[0]
+    listed = re.search(r"a generator name \(([^)]*)\)", scenario).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(GENERATORS)
