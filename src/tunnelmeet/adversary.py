@@ -537,7 +537,7 @@ def planar_point_at(route, arc: Fraction):
     m = int(arc)
     if m >= route.length:
         return route.end
-    seg = route.embed(route.step_at(m))
+    seg = route.embed(route.route.step_at(m))
     tau = arc - m
     return (
         seg.start[0] + tau * (seg.end[0] - seg.start[0]),

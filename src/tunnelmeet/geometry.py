@@ -347,9 +347,6 @@ class PlanarRoute:
     def steps(self) -> Iterator[EdgeTraversal]:
         return self.route.steps()
 
-    def step_at(self, i: int) -> EdgeTraversal:
-        return self.route.step_at(i)
-
     def embed(self, step: EdgeTraversal) -> PlanarSegment:
         if step.v[0] == "v2":
             return PlanarSegment(step.u[1], step.v[3], "bounce_out")

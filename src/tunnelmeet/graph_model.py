@@ -344,10 +344,6 @@ def generator(kind: str, unit_length=Fraction(1)) -> PortLabeledGraph:
     return cls(parse_rational(unit_length))
 
 
-def generator_origin(kind: str) -> NodeHandle:
-    return GENERATORS[kind].origin
-
-
 # ---------------------------------------------------------------------------
 # Seeded random finite graphs (desk-scale test worlds)
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Route representation and algebra.
+"""Route representation: a rope of edge traversals.
 
 A route is a chained sequence of edge traversals starting at a fixed
 node.  The rendezvous recursion concatenates long stretches of its own
@@ -9,8 +9,8 @@ materialized length, and the step budget caps that length up front.
 
 Every rope node is built by ``_leaf``, ``_cat`` or ``_rev`` (empty kids
 dropped, a lone kid returned, a reversed reversal unwrapped); a ``_Cat``
-only by ``_cat``, which gives it its length.  The public
-``route_from_steps``, ``concat_routes`` and ``reverse_route`` wrap them.
+only by ``_cat``, which gives it its length.  ``Route.steps``,
+``step_at`` and ``node_after`` all read through ``_iter_node``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -75,43 +76,32 @@ class _Rev:
 _EMPTY = _Leaf(())
 
 
-def _iter_node(node, rev: bool) -> Iterator[EdgeTraversal]:
-    # Explicit stack of (kid iterator, flip), one per open _Cat: nested
-    # generators would pay O(depth) per step, pushing every kid O(fan-out).
-    stack = []
+def _iter_node(node, i: int = 0) -> Iterator[EdgeTraversal]:
+    """Steps of rope ``node`` from step ``i`` (0, or below its length) on.
+    Seeking ``i`` skips each kid that ends before it, O(depth x fan-out);
+    then an explicit stack of (kid iterator, flip), one per open _Cat,
+    streams the rest: nested generators would pay O(depth) per step."""
+    stack, rev = [], False
     while True:
-        while type(node) is not _Leaf:  # down to the first leaf below node
+        while type(node) is not _Leaf:  # down to the leaf holding step i
             if type(node) is _Rev:
                 node, rev = node.kid, not rev
             else:
                 kids = iter(reversed(node.kids) if rev else node.kids)
                 stack.append((kids, rev))
                 node = next(kids)
-        yield from (node.reversed_steps() if rev else node.steps)
+                while i and i >= node.length:
+                    i, node = i - node.length, next(kids)
+        steps = node.reversed_steps() if rev else node.steps
+        if i:  # the seek's leaf: from step i on, and i is 0 from here
+            steps, i = islice(steps, i, None), 0
+        yield from steps
         # up to the innermost open _Cat with a kid not yet walked
         while stack and (node := next(stack[-1][0], None)) is None:
             stack.pop()
         if not stack:
             return
         rev = stack[-1][1]
-
-
-def _step_at(node, i: int) -> EdgeTraversal:
-    flip = False
-    while True:
-        if isinstance(node, _Leaf):
-            step = node.steps[i]
-            return step.reversed() if flip else step
-        if isinstance(node, _Rev):
-            node = node.kid
-            i = node.length - 1 - i
-            flip = not flip
-            continue
-        for kid in node.kids:
-            if i < kid.length:
-                node = kid
-                break
-            i -= kid.length
 
 
 @dataclass
@@ -133,12 +123,12 @@ class Route:
         return self._root.length
 
     def steps(self) -> Iterator[EdgeTraversal]:
-        return _iter_node(self._root, False)
+        return _iter_node(self._root)
 
     def step_at(self, i: int) -> EdgeTraversal:
         if not 0 <= i < self.length:
             raise IndexError(i)
-        return _step_at(self._root, i)
+        return next(_iter_node(self._root, i))
 
     @property
     def end(self) -> NodeHandle:
@@ -165,35 +155,9 @@ class Route:
 
     def node_after(self, i: int) -> NodeHandle:
         """Node reached after the first ``i`` steps."""
-        if i == 0:
-            return self.start
-        return self.step_at(i - 1).v
-
-
-def route_from_steps(start: NodeHandle, steps: Iterable[EdgeTraversal]) -> Route:
-    steps = tuple(steps)
-    cur = start
-    for step in steps:
-        if step.u != cur:
-            raise ValueError(f"route not chained at {step!r}")
-        cur = step.v
-    return Route(start, _leaf(steps))
-
-
-def reverse_route(r: Route) -> Route:
-    """The same edges in reverse order, each traversal reversed."""
-    return Route(r.end, _rev(r._root))
-
-
-def concat_routes(first: Route, *rest: Route) -> Route:
-    cur = first.end
-    kids = [first._root]
-    for r in rest:
-        if r.start != cur:
-            raise ValueError("concatenation endpoints do not chain")
-        kids.append(r._root)
-        cur = r.end
-    return Route(first.start, _cat(*kids))
+        if not 0 <= i <= self.length:
+            raise IndexError(i)
+        return next(_iter_node(self._root, i - 1)).v if i else self.start
 
 
 # Internal builder API (used by the rendezvous recursion) -------------------

@@ -1,11 +1,12 @@
-"""Shared test worlds and oracles."""
+"""Shared test worlds and oracles, and the route algebra they are written in."""
 
 from collections import deque
 from fractions import Fraction
 from itertools import count, islice, product, takewhile
 from random import Random
+from typing import Iterable
 
-from tunnelmeet.enumeration import Quadruple, phi_index, rational_pair_index
+from tunnelmeet.enumeration import Quadruple, phi, phi_index, rational_pair_index
 from tunnelmeet.geometry import (
     PlanarRoute,
     StartNotInterior,
@@ -18,14 +19,90 @@ from tunnelmeet.geometry import (
     first_boundary_hit,
 )
 from tunnelmeet.graph_model import (
+    GENERATORS,
+    EdgeTraversal,
+    NodeHandle,
     build_finite_graph,
     generator,
-    generator_origin,
     random_connected_graph,
 )
 from tunnelmeet.rendezvous import Limits, RouteBuilder, tunnel_check
-from tunnelmeet.routes import StepBudgetExceeded, route_from_steps
+from tunnelmeet.routes import Route, StepBudgetExceeded, _cat, _leaf, _rev
 
+
+# ---------------------------------------------------------------------------
+# The route algebra: concatenation, and reversal with every traversal
+# reversed, built through the rope's own constructors
+# ---------------------------------------------------------------------------
+
+def route_from_steps(start: NodeHandle, steps: Iterable[EdgeTraversal]) -> Route:
+    steps = tuple(steps)
+    cur = start
+    for step in steps:
+        if step.u != cur:
+            raise ValueError(f"route not chained at {step!r}")
+        cur = step.v
+    return Route(start, _leaf(steps))
+
+
+def reverse_route(r: Route) -> Route:
+    """The same edges in reverse order, each traversal reversed."""
+    return Route(r.end, _rev(r._root))
+
+
+def concat_routes(first: Route, *rest: Route) -> Route:
+    cur = first.end
+    kids = [first._root]
+    for r in rest:
+        if r.start != cur:
+            raise ValueError("concatenation endpoints do not chain")
+        kids.append(r._root)
+        cur = r.end
+    return Route(first.start, _cat(*kids))
+
+
+def reference_rv(g, v, label, cap, budget):
+    """The recursion of the paper, written literally with the algebra:
+    ``graph_rv``'s route and marks, with no memo, no phase table and no
+    shared runs.  Phase k reads ``phi(k)``.  When it names ``label``, the
+    agent walks its own port sequence from ``v`` as far as the ports go,
+    giving q.  If the whole walk's entry ports, read backward, are the
+    partner's sequence, the route r becomes r q s q^-1 r^-1 q s^-1 q^-1,
+    s being the partner's own route of k - 1 phases from q's end;
+    otherwise r q q^-1.  A route longer than ``budget`` after a phase
+    raises ``StepBudgetExceeded``, as the builder does."""
+    r = Route(v)
+    marks = []
+    for k in range(1, cap + 1):
+        marks.append((k, r.length))
+        quad = phi(k)
+        if label == quad.i:
+            mine, theirs, other = quad.s_prime, quad.s_dprime, quad.j
+        elif label == quad.j:
+            mine, theirs, other = quad.s_dprime, quad.s_prime, quad.i
+        else:
+            continue
+        steps, at = [], v
+        for port in mine:
+            if not g.is_port(at, port):
+                break
+            steps.append(g.traverse(at, port))
+            at = steps[-1].v
+        q = route_from_steps(v, steps)
+        qb = reverse_route(q)
+        if len(steps) == len(mine) and tuple(st.in_port for st in reversed(steps)) == theirs:
+            s = reference_rv(g, at, other, k - 1, budget)
+            r = concat_routes(r, q, s, qb, reverse_route(r), q, reverse_route(s), qb)
+        else:
+            r = concat_routes(r, q, qb)
+        if r.length > budget:
+            raise StepBudgetExceeded(f"label {label} over {budget} at phase {k}", r.length, k, label)
+    return Route(v, r._root, marks)
+
+
+# ---------------------------------------------------------------------------
+# Test worlds
+# ---------------------------------------------------------------------------
 
 def k2():
     return build_finite_graph(
@@ -159,7 +236,7 @@ def infinite_corpus(budget=10**7):
     crossed the budget."""
     records = []
     for kind in ("infinite_line", "infinite_grid", "infinite_binary_tree"):
-        g, origin = generator(kind), generator_origin(kind)
+        g, origin = generator(kind), GENERATORS[kind].origin
         dist = {origin: 0}
         for d in (1, 2):  # shortest port paths to the nodes d steps away
             shortest = {}

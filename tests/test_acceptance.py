@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import corpus_worlds, planar_route, true_quadruple
+from conftest import corpus_worlds, planar_route, route_from_steps, true_quadruple
 from tunnelmeet.adversary import (
     DEFAULT_SUITE,
     detect_meeting_graph,
@@ -45,7 +45,7 @@ from tunnelmeet.geometry import (
 )
 from tunnelmeet.graph_model import random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
-from tunnelmeet.routes import StepBudgetExceeded, route_from_steps
+from tunnelmeet.routes import StepBudgetExceeded
 
 STEP_BUDGET = 10**7
 PER_INSTANCE_SECONDS = 60.0

@@ -6,7 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import k2, oracle_pieces, p3, planar_route, true_quadruple
+from conftest import (
+    concat_routes,
+    k2,
+    oracle_pieces,
+    p3,
+    planar_route,
+    reverse_route,
+    route_from_steps,
+    true_quadruple,
+)
 from tunnelmeet.adversary import (
     DEFAULT_SUITE,
     STRATEGIES,
@@ -23,13 +32,7 @@ from tunnelmeet.adversary import (
 )
 from tunnelmeet.graph_model import build_finite_graph, random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv
-from tunnelmeet.routes import (
-    Route,
-    StepBudgetExceeded,
-    concat_routes,
-    reverse_route,
-    route_from_steps,
-)
+from tunnelmeet.routes import Route, StepBudgetExceeded
 
 
 def q(x, y=1):

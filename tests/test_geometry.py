@@ -13,6 +13,7 @@ from conftest import (
     oracle_first_boundary_hit,
     path_port_sequences,
     rational_path,
+    reference_rv,
 )
 from tunnelmeet import geometry
 from tunnelmeet.adversary import epsilon_verdict, verify_rendezvous
@@ -135,6 +136,19 @@ def _shipped(name):
 
 def _shipped_terrain(name):
     return terrain_from_json(_shipped(name)["world"]["terrain"])
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "hole", "approx"])
+def test_terrain_routes_match_the_literal_recursion(name):
+    doc = _shipped(name)
+    t = terrain_from_json(doc["world"]["terrain"])
+    starts = [tuple(map(parse_rational, agent["start"])) for agent in doc["agents"]]
+    labels = [agent["label"] for agent in doc["agents"]]
+    routes = geometric_routes(t, starts, labels, Limits(12))
+    for start, label, planar in zip(starts, labels, routes):
+        r = reference_rv(TerrainGraph(t), ("v1", start), label, 12, 10**7)
+        assert (r.start, r.phase_marks) == (planar.route.start, planar.phase_marks)
+        assert list(r.steps()) == list(planar.steps())
 
 
 _KERNEL_TERRAINS = [_shipped_terrain(name) for name in ("square", "lshape", "hole", "approx")]

@@ -16,7 +16,6 @@ from tunnelmeet.graph_model import (
     UnknownNode,
     build_finite_graph,
     generator,
-    generator_origin,
     is_int,
     is_object,
     is_point,
@@ -94,7 +93,7 @@ def test_builder_rejections():
 
 def test_infinite_line_convention():
     line = generator("infinite_line")
-    origin = generator_origin("infinite_line")
+    origin = GENERATORS["infinite_line"].origin
     assert origin == 0
     for p in (1, 2):
         assert line.is_port(origin, p)
@@ -112,7 +111,7 @@ def test_infinite_line_convention():
 
 def test_infinite_grid_convention():
     grid = generator("infinite_grid", Fraction(1, 3))
-    x = generator_origin("infinite_grid")
+    x = GENERATORS["infinite_grid"].origin
     targets = {1: (1, 0), 2: (0, 1), 3: (-1, 0), 4: (0, -1)}
     for p, w in targets.items():
         step = grid.traverse(x, p)
@@ -125,7 +124,7 @@ def test_infinite_grid_convention():
 
 def test_binary_tree_radius_three():
     tree = generator("infinite_binary_tree")
-    root = generator_origin("infinite_binary_tree")
+    root = GENERATORS["infinite_binary_tree"].origin
     seen = {root}
     frontier = deque([(root, 0)])
     while frontier:
@@ -164,7 +163,7 @@ def _as_written(node):
 def test_generator_handle_accepts_its_origin_and_the_nodes_next_to_it(kind):
     g = generator(kind)
     _, fits = g.handle
-    assert g.origin == generator_origin(kind)
+    assert g.origin == GENERATORS[kind].origin
     assert fits(g.origin) and fits(_as_written(g.origin))
     near = [g.traverse(g.origin, p).v for p in range(1, 6) if g.is_port(g.origin, p)]
     assert near

@@ -9,25 +9,22 @@ from hypothesis import strategies as st
 
 from conftest import (
     c4,
+    concat_routes,
     infinite_corpus,
     k2,
     p3,
     prefix,
     random_walk_route,
+    reference_rv,
+    reverse_route,
+    route_from_steps,
     true_quadruple,
 )
 from tunnelmeet import enumeration, rendezvous
 from tunnelmeet.enumeration import Quadruple, phi_index
-from tunnelmeet.graph_model import generator, random_connected_graph
+from tunnelmeet.graph_model import GENERATORS, generator, random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
-from tunnelmeet.routes import (
-    StepBudgetExceeded,
-    _Cat,
-    _Rev,
-    concat_routes,
-    reverse_route,
-    route_from_steps,
-)
+from tunnelmeet.routes import StepBudgetExceeded, _Cat, _Rev
 
 
 def test_zero_phases_is_empty_route():
@@ -152,6 +149,33 @@ def test_theorem_concatenation_forms_the_stated_tunnel():
     # the constructed pair matches what the algorithm itself emits
     algo = graph_rv(g, "A", 1, Limits(k))
     assert list(algo.steps()) == list(rho.steps())
+
+
+def _route_or_over(build):
+    """The built route's start, marks and steps, or the fields of the
+    ``StepBudgetExceeded`` it raised."""
+    try:
+        r = build()
+    except StepBudgetExceeded as exc:
+        return ("over", exc.length, exc.phase, exc.label)
+    return (r.start, r.phase_marks, list(r.steps()))
+
+
+@pytest.mark.parametrize("cap, budget, over", [(24, 10**5, 0), (40, 10**4, 61)])
+def test_builder_matches_the_literal_recursion(cap, budget, over):
+    # one builder per world serves every start and label from shared walks
+    # and runs; the reference recursion shares nothing
+    worlds = [random_connected_graph(5, seed) for seed in range(8)]
+    worlds = [(g, g.nodes[:3]) for g in worlds]
+    worlds += [(generator(kind), [cls.origin]) for kind, cls in GENERATORS.items()]
+    outcomes = []
+    for g, starts in worlds:
+        builder = RouteBuilder(g, Limits(cap, budget))
+        for v, label in itertools.product(starts, (1, 2, 3)):
+            got = _route_or_over(lambda: builder.route(v, label))
+            assert got == _route_or_over(lambda: reference_rv(g, v, label, cap, budget))
+            outcomes.append(got[0])
+    assert (len(outcomes), outcomes.count("over")) == (81, over)
 
 
 def _brute_tunnel_n(r1, r2):

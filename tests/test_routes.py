@@ -1,18 +1,31 @@
+import ast
 import random
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
-from conftest import k2, random_walk_route
-from tunnelmeet.graph_model import GraphError, random_connected_graph
-from tunnelmeet.routes import (
-    Route,
-    _StepIds,
+from conftest import (
     concat_routes,
-    dump_route,
-    parse_route_dump,
+    k2,
+    random_walk_route,
     reverse_route,
     route_from_steps,
+)
+from tunnelmeet import routes
+from tunnelmeet.graph_model import GraphError, random_connected_graph
+from tunnelmeet.rendezvous import Limits, graph_rv
+from tunnelmeet.routes import (
+    Route,
+    _Cat,
+    _Rev,
+    _StepIds,
+    _cat,
+    _iter_node,
+    _leaf,
+    _rev,
+    dump_route,
+    parse_route_dump,
 )
 
 
@@ -68,6 +81,52 @@ def test_node_after_and_step_at():
         assert r.step_at(i) == step
         assert r.node_after(i + 1) == step.v
     assert r.end == steps[-1].v
+
+
+def test_node_after_and_step_at_name_the_index_out_of_range():
+    r = graph_rv(k2(), "A", 1, Limits(3))
+    assert (r.length, r.node_after(6), r.end) == (6, "A", "A")
+    for i in (7, -1):
+        with pytest.raises(IndexError) as info:
+            r.node_after(i)
+        assert info.value.args == (i,)
+    for i in (6, -1):
+        with pytest.raises(IndexError) as info:
+            r.step_at(i)
+        assert info.value.args == (i,)
+
+
+def _read_by_recursion(node):
+    """The steps of a rope, read by plain recursion: the seek's oracle."""
+    if isinstance(node, _Rev):
+        return [s.reversed() for s in reversed(_read_by_recursion(node.kid))]
+    if isinstance(node, _Cat):
+        return [s for kid in node.kids for s in _read_by_recursion(kid)]
+    return list(node.steps)
+
+
+def test_seek_at_every_offset():
+    # ropes of nested _cat/_rev that read shared subtrees forward and
+    # reversed; every offset is sought, kid boundaries included
+    rng = random.Random(37)
+    g = random_connected_graph(6, 3)
+    for _ in range(8):
+        steps = list(random_walk_route(g, g.nodes[0], 12, rng).steps())
+        cuts = sorted(rng.sample(range(1, 12), 3))
+        nodes = [_leaf(tuple(steps[a:b])) for a, b in zip([0] + cuts, cuts + [12])]
+        for _ in range(6):  # each new node reads two or three older ones
+            kids = [rng.choice(nodes) for _ in range(rng.randint(2, 3))]
+            nodes.append(_cat(*(_rev(k) if rng.random() < 0.5 else k for k in kids)))
+        nodes.append(_rev(nodes[-1]))
+        for root in nodes[-3:]:
+            r = Route(steps[0].u, root)
+            flat = _read_by_recursion(root)
+            assert len(flat) == r.length
+            assert r.node_after(0) == r.start
+            for i, step in enumerate(flat):
+                assert r.step_at(i) == step
+                assert r.node_after(i + 1) == step.v
+                assert list(_iter_node(root, i)) == flat[i:]
 
 
 def test_dump_and_parse_round_trip():
@@ -187,3 +246,25 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
         # each end is interned once, as the ids 0, 1, 2, ...
         assert sorted(table.values()) == list(range(len(table)))
         assert len(table) == len({end(s) for s in steps for end in (out_end, in_end)})
+
+
+def test_every_public_name_of_routes_is_used_outside_the_tests():
+    # library code that only the tests call belongs in the tests
+    defined = {
+        name
+        for name, value in vars(routes).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == routes.__name__
+    }
+    assert defined == {"StepBudgetExceeded", "Route", "dump_lines", "dump_route", "parse_route_dump"}
+    root = Path(__file__).resolve().parents[1]
+    callers = [p for p in (root / "src" / "tunnelmeet").glob("*.py") if p.name != "routes.py"]
+    used = set()
+    for path in callers + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(defined - used) == []
