@@ -40,14 +40,7 @@ from dataclasses import dataclass
 
 from .enumeration import PHASES
 from .graph_model import NodeHandle, PortLabeledGraph
-from .routes import (
-    Route,
-    StepBudgetExceeded,
-    _StepIds,
-    _cat,
-    _leaf,
-    _rev,
-)
+from .routes import Route, StepBudgetExceeded, _StepIds, _cat, _leaf
 
 DEFAULT_STEP_BUDGET = 10**7
 
@@ -79,11 +72,12 @@ class RouteBuilder:
     hypothesis walk from a start node and the rope of a ``(start, label)``
     run after ``k`` phases each depend only on the world, so each is
     computed once per builder: ``walks`` maps ``(v, seq)``, ``seq`` the id
-    of an interned port sequence in ``PHASES.seqs``, to the walk, its
-    reversal, its end node and its entry ports read backward (None when a
-    port is missing on the way), and ``runs[v, label][k]`` is the rope
-    after ``k`` phases, the same rope as after ``k - 1`` when phase ``k``
-    does not name the label.  A phase adds at most one rope node, a single
+    of an interned port sequence in ``PHASES.seqs``, to the walk's two
+    ``_cat`` kids ``(leaf, False)`` and ``(leaf, True)``, its end node and
+    its entry ports read backward (None when a port is missing on the
+    way), and ``runs[v, label][k]`` is the rope after ``k`` phases, the
+    same rope as after ``k - 1`` when phase ``k`` does not name the label.
+    A phase that grows the rope adds exactly one rope node, a single
     ``_cat``.  A run appends a phase only within the budget, so after a
     ``StepBudgetExceeded`` the builder can be asked again.
     """
@@ -125,9 +119,11 @@ class RouteBuilder:
             walk, back, end, entries = walks.get((v, s1)) or self._walk(v, s1)
             if seqs[s2] == entries:
                 sim = self._ropes(end, other, k - 1)[k - 1]
-                root = _cat(root, walk, sim, back, _rev(root), walk, _rev(sim), back)
-            elif walk.length:  # a walk that fails at once adds nothing
-                root = _cat(root, walk, back)
+                root = _cat(
+                    (root, False), walk, (sim, False), back, (root, True), walk, (sim, True), back
+                )
+            elif walk[0].length:  # a walk that fails at once adds nothing
+                root = _cat((root, False), walk, back)
             if root.length > budget:
                 raise StepBudgetExceeded(
                     f"route for label {label} exceeds {budget} steps at phase {k}",
@@ -155,7 +151,7 @@ class RouteBuilder:
         if len(walked) == len(ports):
             entries = tuple(step.in_port for step in reversed(walked))
         leaf = _leaf(tuple(walked))
-        walk = self.walks[v, seq] = (leaf, _rev(leaf), cur, entries)
+        walk = self.walks[v, seq] = ((leaf, False), (leaf, True), cur, entries)
         return walk
 
 

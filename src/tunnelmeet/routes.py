@@ -3,13 +3,17 @@
 A route is a chained sequence of edge traversals starting at a fixed
 node.  The rendezvous recursion concatenates long stretches of its own
 history and of simulated routes over and over, so the step sequence is
-held as a rope (concatenation DAG with reverse nodes) whose subtrees are
-shared.  Building is O(nodes); only iteration pays for the
-materialized length, and the step budget caps that length up front.
+held as a rope (a concatenation DAG) whose subtrees are shared.  Each
+kid of a concatenation is read forward or backward, backward meaning its
+steps in reverse order with every traversal reversed, so a reversal is
+a flag on the edge that reads it, not a node.  Building is O(nodes);
+only iteration pays for the materialized length, and the step budget
+caps that length up front.
 
-Every rope node is built by ``_leaf``, ``_cat`` or ``_rev`` (empty kids
-dropped, a lone kid returned, a reversed reversal unwrapped); a ``_Cat``
-only by ``_cat``, which gives it its length.  ``Route.steps``,
+Every rope node is built by ``_leaf`` or ``_cat``.  ``_cat`` takes
+``(node, backward)`` kids, drops the empty ones and returns a lone
+forward kid unchanged; otherwise it builds the ``_Cat`` and gives it its
+length.  A ``Route``'s root is read forward.  ``Route.steps``,
 ``step_at`` and ``node_after`` all read through ``_iter_node``.
 """
 
@@ -43,34 +47,27 @@ class StepBudgetExceeded(Exception):
 
 
 class _Leaf:
-    __slots__ = ("steps", "length", "_rev")
+    __slots__ = ("steps", "length", "_backward")
 
     def __init__(self, steps: tuple[EdgeTraversal, ...]):
         self.steps = steps
         self.length = len(steps)
-        self._rev = None
+        self._backward = None
 
     def reversed_steps(self) -> tuple[EdgeTraversal, ...]:
-        if self._rev is None:
-            self._rev = tuple(s.reversed() for s in reversed(self.steps))
-        return self._rev
+        if self._backward is None:
+            self._backward = tuple(s.reversed() for s in reversed(self.steps))
+        return self._backward
 
 
 class _Cat:
-    # two or more non-empty kids; built only by _cat, which sums the length
+    # non-empty (node, backward) kids, two or more or one read backward;
+    # built only by _cat, which sums the length
     __slots__ = ("kids", "length")
 
     def __init__(self, kids: tuple, length: int):
         self.kids = kids
         self.length = length
-
-
-class _Rev:
-    __slots__ = ("kid", "length")
-
-    def __init__(self, kid):
-        self.kid = kid
-        self.length = kid.length
 
 
 _EMPTY = _Leaf(())
@@ -80,28 +77,28 @@ def _iter_node(node, i: int = 0) -> Iterator[EdgeTraversal]:
     """Steps of rope ``node`` from step ``i`` (0, or below its length) on.
     Seeking ``i`` skips each kid that ends before it, O(depth x fan-out);
     then an explicit stack of (kid iterator, flip), one per open _Cat,
-    streams the rest: nested generators would pay O(depth) per step."""
+    streams the rest: nested generators would pay O(depth) per step.  A
+    kid's backward flag flips the direction it is read in."""
     stack, rev = [], False
     while True:
         while type(node) is not _Leaf:  # down to the leaf holding step i
-            if type(node) is _Rev:
-                node, rev = node.kid, not rev
-            else:
-                kids = iter(reversed(node.kids) if rev else node.kids)
-                stack.append((kids, rev))
-                node = next(kids)
-                while i and i >= node.length:
-                    i, node = i - node.length, next(kids)
+            kids = iter(reversed(node.kids) if rev else node.kids)
+            stack.append((kids, rev))
+            node, backward = next(kids)
+            while i and i >= node.length:
+                i, (node, backward) = i - node.length, next(kids)
+            rev ^= backward
         steps = node.reversed_steps() if rev else node.steps
         if i:  # the seek's leaf: from step i on, and i is 0 from here
             steps, i = islice(steps, i, None), 0
         yield from steps
         # up to the innermost open _Cat with a kid not yet walked
-        while stack and (node := next(stack[-1][0], None)) is None:
+        while stack and (kid := next(stack[-1][0], None)) is None:
             stack.pop()
         if not stack:
             return
-        rev = stack[-1][1]
+        node, backward = kid
+        rev = stack[-1][1] ^ backward
 
 
 @dataclass
@@ -147,7 +144,7 @@ class Route:
             if isinstance(node, _Leaf):
                 den = lcm(den, *(s.length.denominator for s in node.steps))
                 continue
-            for kid in (node.kid,) if isinstance(node, _Rev) else node.kids:
+            for kid, _ in node.kids:
                 if id(kid) not in seen:
                     seen.add(id(kid))
                     stack.append(kid)
@@ -166,19 +163,11 @@ def _leaf(steps: tuple[EdgeTraversal, ...]):
     return _Leaf(steps) if steps else _EMPTY
 
 
-def _cat(*nodes):
-    kids = tuple([n for n in nodes if n.length])
-    if len(kids) > 1:
-        return _Cat(kids, sum([n.length for n in kids]))
-    return kids[0] if kids else _EMPTY
-
-
-def _rev(node):
-    if node.length == 0:
-        return _EMPTY
-    if isinstance(node, _Rev):
-        return node.kid
-    return _Rev(node)
+def _cat(*kids):
+    kids = tuple([kid for kid in kids if kid[0].length])
+    if len(kids) > 1 or kids and kids[0][1]:
+        return _Cat(kids, sum([node.length for node, _ in kids]))
+    return kids[0][0] if kids else _EMPTY
 
 
 class _StepIds:
@@ -213,11 +202,9 @@ class _StepIds:
                 ids.extend(ids[at : at + node.length])
                 continue
             first[key] = len(ids)
-            if isinstance(node, _Rev):
-                stack.append((node.kid, not rev))
-            elif isinstance(node, _Cat):
+            if isinstance(node, _Cat):
                 kids = node.kids if rev else reversed(node.kids)
-                stack.extend((kid, rev) for kid in kids)
+                stack.extend((kid, rev ^ backward) for kid, backward in kids)
             else:
                 end = self._ends[rev]
                 steps = reversed(node.steps) if rev else node.steps

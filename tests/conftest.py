@@ -6,6 +6,7 @@ from itertools import count, islice, product, takewhile
 from random import Random
 from typing import Iterable
 
+from tunnelmeet.adversary import DEFAULT_SUITE, _lattice, detect_meeting_graph, make_schedule
 from tunnelmeet.enumeration import Quadruple, phi, phi_index, rational_pair_index
 from tunnelmeet.geometry import (
     PlanarRoute,
@@ -27,7 +28,7 @@ from tunnelmeet.graph_model import (
     random_connected_graph,
 )
 from tunnelmeet.rendezvous import Limits, RouteBuilder, tunnel_check
-from tunnelmeet.routes import Route, StepBudgetExceeded, _cat, _leaf, _rev
+from tunnelmeet.routes import Route, StepBudgetExceeded, _Cat, _cat, _leaf
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +47,24 @@ def route_from_steps(start: NodeHandle, steps: Iterable[EdgeTraversal]) -> Route
 
 
 def reverse_route(r: Route) -> Route:
-    """The same edges in reverse order, each traversal reversed."""
-    return Route(r.end, _rev(r._root))
+    """The same edges in reverse order, each traversal reversed: a
+    concatenation's kids in reverse order, each read the other way, or a
+    leaf as one backward kid."""
+    root = r._root
+    if isinstance(root, _Cat):
+        kids = [(node, not backward) for node, backward in reversed(root.kids)]
+    else:
+        kids = [(root, True)]
+    return Route(r.end, _cat(*kids))
 
 
 def concat_routes(first: Route, *rest: Route) -> Route:
     cur = first.end
-    kids = [first._root]
+    kids = [(first._root, False)]
     for r in rest:
         if r.start != cur:
             raise ValueError("concatenation endpoints do not chain")
-        kids.append(r._root)
+        kids.append((r._root, False))
         cur = r.end
     return Route(first.start, _cat(*kids))
 
@@ -255,6 +263,37 @@ def infinite_corpus(budget=10**7):
                     rec.update(routes=(r1, r2), cert=tunnel_check(r1, r2))
                 records.append(rec)
     return records
+
+
+def tunnel_bound_breaches(r1, r2, n, seeds):
+    """``(cell name, seed, verdict)`` for each cell of ``DEFAULT_SUITE``
+    over ``seeds``, scheduled as in criterion 3, whose first meeting comes
+    later than Proposition 1's bound allows routes with an ``n``-step
+    tunnel: they walk one path in opposite directions, so they meet by
+    the time either agent reaches the end of its n-step prefix.  A cell
+    that does not meet is a breach too."""
+    for name, s1, s2 in DEFAULT_SUITE:
+        for seed in seeds:
+            w1, w2 = make_schedule(s1, r1, seed), make_schedule(s2, r2, seed + 10007)
+            verdict = detect_meeting_graph(None, r1, r2, w1, w2)
+            scales = _lattice((r1, w1), (r2, w2))
+            if not verdict.met or any(
+                _leaves_prefix(w, n, scales, verdict.time * scales[0]) for w in (w1, w2)
+            ):
+                yield name, seed, verdict
+
+
+def _leaves_prefix(schedule, n, scales, end):
+    """Whether the walk is past step n - 1's end strictly before lattice
+    time ``end``, reading its pieces only while they start before it: a
+    piece on step n or later starts then, or one on step n - 1 is at that
+    step's end ``hi``."""
+    for t0, t1, m, a0, a1, _, _, hi in schedule.lattice_pieces(*scales):
+        if t0 >= end:
+            return False
+        if m >= n or m == n - 1 and (a0 == hi or a1 == hi and t1 < end):
+            return True
+    return False
 
 
 def planar_route(points):

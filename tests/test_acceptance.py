@@ -18,7 +18,14 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import corpus_worlds, planar_route, route_from_steps, true_quadruple
+from conftest import (
+    corpus_worlds,
+    planar_route,
+    route_from_steps,
+    true_quadruple,
+    tunnel_bound_breaches,
+)
+from tunnelmeet import adversary
 from tunnelmeet.adversary import (
     DEFAULT_SUITE,
     detect_meeting_graph,
@@ -211,6 +218,47 @@ def test_criterion_3_proposition_1_mechanized(corpus):
         f"{len(failures)} failures",
     )
     assert ok, failures[:10]
+
+
+def test_criterion_3_meets_within_proposition_1s_bound(corpus):
+    # criterion 3's companion at seeds 0-2: each cell's first meeting comes
+    # before either agent leaves the n-step prefix of its tunnel
+    certified = [r for r in corpus if r.get("cert")]
+    assert certified
+    late = [
+        (r["world"], r["labels"], r["starts"], name, seed)
+        for r in certified
+        for name, seed, _ in tunnel_bound_breaches(*r["routes"], r["cert"].n, range(3))
+    ]
+    assert not late, (len(late), late[:10])
+
+
+def test_proposition_1s_bound_catches_a_sweep_that_meets_late(corpus, monkeypatch):
+    # a sweep that drops each cell's first hit still meets, so criterion 3
+    # passes it; the bound does not
+    sweep = adversary._sweep
+
+    def late_sweep(pieces1, pieces2, cell_fn):
+        dropped = []
+
+        def cell(p1, p2, c0, c1):
+            hit = cell_fn(p1, p2, c0, c1)
+            if hit is not None and not dropped:
+                dropped.append(hit)
+                return None
+            return hit
+
+        return sweep(pieces1, pieces2, cell)
+
+    monkeypatch.setattr(adversary, "_sweep", late_sweep)
+    breaches = (
+        verdict
+        for r in corpus
+        if r.get("cert")
+        for _, _, verdict in tunnel_bound_breaches(*r["routes"], r["cert"].n, range(3))
+    )
+    first = next(breaches, None)
+    assert first is not None and first.met
 
 
 def test_criterion_4_phase_closure(corpus):

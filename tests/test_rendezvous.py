@@ -19,12 +19,13 @@ from conftest import (
     reverse_route,
     route_from_steps,
     true_quadruple,
+    tunnel_bound_breaches,
 )
 from tunnelmeet import enumeration, rendezvous
 from tunnelmeet.enumeration import Quadruple, phi_index
 from tunnelmeet.graph_model import GENERATORS, generator, random_connected_graph
 from tunnelmeet.rendezvous import Limits, RouteBuilder, graph_rv, tunnel_check
-from tunnelmeet.routes import StepBudgetExceeded, _Cat, _Rev
+from tunnelmeet.routes import _EMPTY, StepBudgetExceeded, _Cat, _Leaf
 
 
 def test_zero_phases_is_empty_route():
@@ -272,7 +273,7 @@ def test_tunnel_check_on_periodic_routes():
 
 
 def test_tunnel_check_on_ropes_sharing_subtrees():
-    # route one reads h forward, then under a reverse node; route two
+    # route one reads h forward, then its kids backward; route two
     # starts with reversed pieces of route one, so tunnels cross copies
     rng = random.Random(53)
     g = random_connected_graph(5, 4)
@@ -498,13 +499,17 @@ def test_ids_past_the_last_code_point_fall_back_to_kmp(monkeypatch):
 
 def test_infinite_worlds_build_and_certify_routes():
     # every instance at its true phase and the 10^7 budget; the split is
-    # pinned as found, with no start or label chosen to make more fit
+    # pinned as found, with no start or label chosen to make more fit.  A
+    # certified pair meets within Proposition 1's bound at seeds 0-2
     records = infinite_corpus()
     built = [r for r in records if r["routes"]]
     for rec in built:
-        assert rec["cert"] is not None, (rec["world"], rec["labels"], rec["starts"])
+        where = (rec["world"], rec["labels"], rec["starts"])
+        assert rec["cert"] is not None, where
         for route, start in zip(rec["routes"], rec["starts"]):
             assert all(route.node_after(mark) == start for _, mark in route.phase_marks)
+        late = list(tunnel_bound_breaches(*rec["routes"], rec["cert"].n, range(3)))
+        assert not late, (where, late)
     over = [r for r in records if not r["routes"]]
     listing = "\n".join(
         f"{r['world']} labels={r['labels']} starts={r['starts']} phase={r['phase']}: "
@@ -642,14 +647,12 @@ def _rope_nodes(*roots):
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            if isinstance(node, _Rev):
-                stack.append(node.kid)
-            elif isinstance(node, _Cat):
-                stack.extend(node.kids)
+            if isinstance(node, _Cat):
+                stack.extend(kid for kid, _ in node.kids)
     return list(seen.values())
 
 
-def test_a_phase_adds_at_most_one_rope_node():
+def test_a_phase_adds_exactly_one_rope_node():
     g = random_connected_graph(5, 3)
     builder = RouteBuilder(g, Limits(200, 10**30))
     builder.route("n0", 1)
@@ -661,17 +664,23 @@ def test_a_phase_adds_at_most_one_rope_node():
         for k in range(1, len(ropes))
         if ropes[k] is not ropes[k - 1]
     ]
-    cats = [n for n in _rope_nodes(*(r for ropes in runs for r in ropes)) if isinstance(n, _Cat)]
     assert len(grown) > 1000
+    # every node is one grown phase's _Cat, a walk's leaf or the empty rope
+    nodes = {id(n): n for n in _rope_nodes(*(r for ropes in runs for r in ropes))}
+    cats = {id(after) for _, after in grown}
+    leaves = {id(walk[0][0]) for walk in builder.walks.values()}
     assert len(cats) == len(grown)
-    for node in cats:
-        assert len(node.kids) >= 2
-        assert all(kid.length for kid in node.kids)
-        assert node.length == sum(kid.length for kid in node.kids)
-    # a grown rope is one _cat whose first kid is the rope before it
+    assert set(nodes) <= cats | leaves | {id(_EMPTY)}
+    assert {type(n) for n in nodes.values()} == {_Cat, _Leaf}
+    for node in nodes.values():
+        if isinstance(node, _Cat):
+            assert len(node.kids) >= 2
+            assert all(kid.length for kid, _ in node.kids)
+            assert node.length == sum(kid.length for kid, _ in node.kids)
+    # a grown rope is one _cat whose first kid is the rope before it, forward
     for before, after in grown:
         assert isinstance(after, _Cat)
-        assert not before.length or after.kids[0] is before
+        assert not before.length or after.kids[0] == (before, False)
 
 
 def test_routes_are_chained_and_use_confirmed_ports():

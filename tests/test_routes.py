@@ -1,7 +1,5 @@
-import ast
 import random
 from operator import attrgetter
-from pathlib import Path
 
 import pytest
 
@@ -12,18 +10,15 @@ from conftest import (
     reverse_route,
     route_from_steps,
 )
-from tunnelmeet import routes
 from tunnelmeet.graph_model import GraphError, random_connected_graph
 from tunnelmeet.rendezvous import Limits, graph_rv
 from tunnelmeet.routes import (
     Route,
     _Cat,
-    _Rev,
     _StepIds,
     _cat,
     _iter_node,
     _leaf,
-    _rev,
     dump_route,
     parse_route_dump,
 )
@@ -96,18 +91,18 @@ def test_node_after_and_step_at_name_the_index_out_of_range():
         assert info.value.args == (i,)
 
 
-def _read_by_recursion(node):
+def _read_by_recursion(node, backward=False):
     """The steps of a rope, read by plain recursion: the seek's oracle."""
-    if isinstance(node, _Rev):
-        return [s.reversed() for s in reversed(_read_by_recursion(node.kid))]
     if isinstance(node, _Cat):
-        return [s for kid in node.kids for s in _read_by_recursion(kid)]
-    return list(node.steps)
+        steps = [s for kid, back in node.kids for s in _read_by_recursion(kid, back)]
+    else:
+        steps = list(node.steps)
+    return [s.reversed() for s in reversed(steps)] if backward else steps
 
 
 def test_seek_at_every_offset():
-    # ropes of nested _cat/_rev that read shared subtrees forward and
-    # reversed; every offset is sought, kid boundaries included
+    # ropes of nested _cats whose kids read shared subtrees forward and
+    # backward; every offset is sought, kid boundaries included
     rng = random.Random(37)
     g = random_connected_graph(6, 3)
     for _ in range(8):
@@ -116,8 +111,8 @@ def test_seek_at_every_offset():
         nodes = [_leaf(tuple(steps[a:b])) for a, b in zip([0] + cuts, cuts + [12])]
         for _ in range(6):  # each new node reads two or three older ones
             kids = [rng.choice(nodes) for _ in range(rng.randint(2, 3))]
-            nodes.append(_cat(*(_rev(k) if rng.random() < 0.5 else k for k in kids)))
-        nodes.append(_rev(nodes[-1]))
+            nodes.append(_cat(*((k, rng.random() < 0.5) for k in kids)))
+        nodes.append(_cat((nodes[-1], True)))
         for root in nodes[-3:]:
             r = Route(steps[0].u, root)
             flat = _read_by_recursion(root)
@@ -206,8 +201,8 @@ def test_unchained_dump_names_its_line(text, line):
 
 
 def test_deeply_nested_reversal():
-    # a reversal of a reversal unwraps it, so 5,000 reversals leave the
-    # leaf itself and each one costs O(1)
+    # a leaf reversed is one backward kid, which reversed again is the leaf
+    # itself, so 5,000 reversals leave the leaf and each one costs O(1)
     g = k2()
     step = g.traverse("A", 1)
     r = route_from_steps("A", [step])
@@ -220,9 +215,9 @@ def test_deeply_nested_reversal():
 
 
 def test_step_ids_copy_shared_subtrees_in_both_orientations():
-    # h is written forward first, then met under a reverse node (expanded
-    # in that orientation) and forward again (a slice copy); both ends are
-    # read under the same piecewise fills
+    # h is written forward first, then its kids are met backward (expanded
+    # in that orientation) and h forward again (a slice copy); both ends
+    # are read under the same piecewise fills
     rng = random.Random(31)
     g = random_connected_graph(6, 2)
     for _ in range(20):
@@ -247,24 +242,3 @@ def test_step_ids_copy_shared_subtrees_in_both_orientations():
         assert sorted(table.values()) == list(range(len(table)))
         assert len(table) == len({end(s) for s in steps for end in (out_end, in_end)})
 
-
-def test_every_public_name_of_routes_is_used_outside_the_tests():
-    # library code that only the tests call belongs in the tests
-    defined = {
-        name
-        for name, value in vars(routes).items()
-        if not name.startswith("_") and getattr(value, "__module__", None) == routes.__name__
-    }
-    assert defined == {"StepBudgetExceeded", "Route", "dump_lines", "dump_route", "parse_route_dump"}
-    root = Path(__file__).resolve().parents[1]
-    callers = [p for p in (root / "src" / "tunnelmeet").glob("*.py") if p.name != "routes.py"]
-    used = set()
-    for path in callers + sorted((root / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    assert sorted(defined - used) == []
